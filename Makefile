@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke bench fuzz-smoke
+.PHONY: ci vet build test race bench-smoke bench fuzz-smoke perfbench
 
-ci: vet build test race bench-smoke fuzz-smoke
+ci: vet build test race bench-smoke fuzz-smoke perfbench
 
 vet:
 	$(GO) vet ./...
@@ -18,6 +18,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is a nested module (perfbench/go.mod), so the
+# root ./... patterns above skip it: vet and test it on its own so an
+# internal API change that breaks the benchmark build fails the gate.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the convert and stats benchmarks as a smoke test:
 # catches benchmark bit-rot without paying for a full measurement run.

@@ -104,7 +104,7 @@ func convertedFiles(b *testing.B, raws [][]byte) []*interval.File {
 	}
 	files := make([]*interval.File, len(outs))
 	for i, sb := range outs {
-		if files[i], err = interval.ReadHeader(sb); err != nil {
+		if files[i], err = interval.NewFile(sb); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -404,7 +404,7 @@ func BenchmarkSeekFrameDirsVsScan(b *testing.B) {
 	if _, err := merge.Merge(files, sb, merge.Options{Writer: interval.WriterOptions{FrameBytes: 16 << 10}}); err != nil {
 		b.Fatal(err)
 	}
-	mf, err := interval.ReadHeader(sb)
+	mf, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func BenchmarkSeekFrameDirsVsScan(b *testing.B) {
 			if err != nil || !ok {
 				b.Fatalf("ok=%v err=%v", ok, err)
 			}
-			if _, err := mf.FrameRecords(fe); err != nil {
+			if _, err := mf.DecodeFrameDirect(fe); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -656,7 +656,7 @@ func BenchmarkIntervalScanThroughput(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	f, err := interval.ReadHeader(sb)
+	f, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func BenchmarkIntervalScanInto(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	f, err := interval.ReadHeader(sb)
+	f, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -783,7 +783,7 @@ func BenchmarkIntervalScanV4(b *testing.B) {
 	recs := benchIntervalRecords(n)
 	for _, v := range []uint32{3, 4} {
 		b.Run(fmt.Sprintf("v%d", v), func(b *testing.B) {
-			f, err := interval.ReadHeader(writeBenchInterval(b, v, recs))
+			f, err := interval.NewFile(writeBenchInterval(b, v, recs))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -817,7 +817,7 @@ func windowBenchFile(b *testing.B) *interval.File {
 	if _, err := merge.Merge(files, sb, merge.Options{Writer: interval.WriterOptions{FrameBytes: 8 << 10}}); err != nil {
 		b.Fatal(err)
 	}
-	mf, err := interval.ReadHeader(sb)
+	mf, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}

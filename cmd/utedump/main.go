@@ -160,11 +160,11 @@ func dumpInterval(path string, limit int, frames bool, jobs int, window string) 
 		mopts.Window, mopts.Lo, mopts.Hi = true, lo, hi
 	}
 	n := 0
-	err = interval.MapFrames(f, mopts,
-		func(_ interval.FrameEntry, recs []interval.Record) ([]interval.Record, error) {
-			return recs, nil
+	err = interval.MapFilesBatches([]*interval.File{f}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) ([]interval.Record, error) {
+			return b.Records(), nil
 		},
-		func(_ interval.FrameEntry, recs []interval.Record) error {
+		func(_ int, _ interval.FrameEntry, recs []interval.Record) error {
 			for ri := range recs {
 				r := &recs[ri]
 				if mopts.Window && (r.End() < mopts.Lo || r.Start > mopts.Hi) {

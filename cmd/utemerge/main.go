@@ -42,7 +42,6 @@ func main() {
 		linear     = flag.Bool("linear", false, "use a linear scan instead of the balanced tree (ablation)")
 		frameBytes = flag.Int("frame-bytes", 0, "target frame payload size (0 = 64 KiB)")
 		jobs       = flag.Int("j", 0, "pipeline width: read-ahead decode when above 1 (0 = GOMAXPROCS, 1 = synchronous)")
-		columnar   = flag.Bool("columnar", false, "with -slog, feed the build's first pass from columnar batches (same bytes, fewer allocations)")
 		pyramid    = flag.Bool("pyramid", false, "also build the merged file's summary-pyramid sidecar (<out>.pyr)")
 	)
 	flag.Parse()
@@ -100,7 +99,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		bres, err := slog.Build(mf, fp, slog.Options{FrameBytes: *frameBytes, Parallel: *jobs, Columnar: *columnar})
+		bres, err := slog.Build(mf, fp, slog.Options{FrameBytes: *frameBytes, Parallel: *jobs})
 		if cerr := fp.Close(); err == nil {
 			err = cerr
 		}

@@ -58,7 +58,7 @@ func referenceMerge(t *testing.T, raws [][]byte, wopts interval.WriterOptions) [
 	}
 	files := make([]*interval.File, len(outs))
 	for i, sb := range outs {
-		if files[i], err = interval.ReadHeader(sb); err != nil {
+		if files[i], err = interval.NewFile(sb); err != nil {
 			t.Fatal(err)
 		}
 	}

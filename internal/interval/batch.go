@@ -8,9 +8,12 @@ package interval
 // skips per-record materialization entirely — no Record structs, no
 // per-record Extra/Vec slice headers — and because every column is a
 // plain reusable slice, a pooled batch decodes with zero allocations
-// once its columns have grown to frame size. The stats kernel compiler
-// (internal/stats) and the SLOG builder consume batches through
-// MapFilesBatches.
+// once its columns have grown to frame size. Batch.Decode is the only
+// whole-frame decoder: the map-reduce engine (MapFilesBatches) hands
+// batches to every analysis consumer, and a frame's []Record
+// (DecodeFrameDirect) is one copy-out of a decoded batch (Records). The
+// streaming Scanner keeps its own per-record cursor and serves as the
+// independent oracle the tests check batches against.
 
 import (
 	"encoding/binary"
@@ -42,7 +45,9 @@ type Batch struct {
 	VecOff   []uint32
 	Vecs     []uint64
 
-	cur frameCursor // v4 dictionary scratch, reused across frames
+	cur     frameCursor // decode state; v4 dictionary scratch reused across frames
+	scratch Record      // v1–v3 decode target for one row
+	vals    u64Arena    // backs scratch's Extra/Vec, reset per row
 }
 
 // reset empties the batch, keeping every column's capacity.
@@ -76,7 +81,7 @@ func (b *Batch) VecRow(i int) []uint64 {
 
 // Row materializes row i as a Record whose Extra and Vec alias the
 // batch's backing columns: read-only, and valid only until the batch is
-// reset or reused. Use RowCopy for a record that must outlive the batch.
+// reset or reused. Use Records for records that must outlive the batch.
 func (b *Batch) Row(i int) Record {
 	r := Record{
 		Type:   b.Type[i],
@@ -96,31 +101,36 @@ func (b *Batch) Row(i int) Record {
 	return r
 }
 
-// RowCopy materializes row i as a self-contained Record with freshly
-// allocated Extra and Vec.
-func (b *Batch) RowCopy(i int) Record {
-	r := b.Row(i)
-	if len(r.Extra) > 0 {
-		r.Extra = append([]uint64(nil), r.Extra...)
+// Records copies the batch out as self-contained records: one
+// allocation for the []Record and one copy each of Extras and Vecs.
+// Each record's Extra and Vec is a capacity-clamped subslice of those
+// copies (nil when the row has no values), so appending to one record's
+// slice never overwrites a neighbour's, and nothing aliases the batch —
+// it may be reset or reused at once.
+func (b *Batch) Records() []Record {
+	recs := make([]Record, b.N)
+	var extras, vecs []uint64
+	if len(b.Extras) > 0 {
+		extras = append([]uint64(nil), b.Extras...)
 	}
-	if len(r.Vec) > 0 {
-		r.Vec = append([]uint64(nil), r.Vec...)
+	if len(b.Vecs) > 0 {
+		vecs = append([]uint64(nil), b.Vecs...)
 	}
-	return r
-}
-
-// EncodedRowSize returns the length-prefixed fixed-width size row i
-// would have on disk, matching Record.EncodedSize without materializing
-// the record.
-func (b *Batch) EncodedRowSize(i int) int {
-	n := profile.CommonSize + 8*int(b.ExtraOff[i+1]-b.ExtraOff[i])
-	if events.VectorField(b.Type[i]) != "" {
-		n += 2 + 8*int(b.VecOff[i+1]-b.VecOff[i])
+	// Field-by-field stores into the zeroed slice: building a Record
+	// value and copying it in costs a struct copy per row.
+	for i := range recs {
+		r := &recs[i]
+		r.Type, r.Bebits = b.Type[i], b.Bebits[i]
+		r.Start, r.Dura = b.Start[i], b.Dura[i]
+		r.CPU, r.Node, r.Thread = b.CPU[i], b.Node[i], b.Thread[i]
+		if lo, hi := b.ExtraOff[i], b.ExtraOff[i+1]; hi > lo {
+			r.Extra = extras[lo:hi:hi]
+		}
+		if lo, hi := b.VecOff[i], b.VecOff[i+1]; hi > lo {
+			r.Vec = vecs[lo:hi:hi]
+		}
 	}
-	if n <= 255 {
-		return 1 + n
-	}
-	return 3 + n
+	return recs
 }
 
 // pushCommon appends one row's fixed-width fields; the caller appends
@@ -143,6 +153,14 @@ func (b *Batch) closeRow() {
 	b.VecOff = append(b.VecOff, uint32(len(b.Vecs)))
 }
 
+// push appends r as the batch's next row.
+func (b *Batch) push(r *Record) {
+	b.pushCommon(r.Type, r.Bebits, r.Start, r.Dura, r.CPU, r.Node, r.Thread)
+	b.Extras = append(b.Extras, r.Extra...)
+	b.Vecs = append(b.Vecs, r.Vec...)
+	b.closeRow()
+}
+
 // FromRecords fills the batch from already-decoded records — the path
 // taken when a frame-decode hook (the daemon's decoded-frame cache)
 // already holds the frame's records, so a warm query never touches the
@@ -150,95 +168,38 @@ func (b *Batch) closeRow() {
 func (b *Batch) FromRecords(recs []Record) {
 	b.reset()
 	for i := range recs {
-		r := &recs[i]
-		b.pushCommon(r.Type, r.Bebits, r.Start, r.Dura, r.CPU, r.Node, r.Thread)
-		b.Extras = append(b.Extras, r.Extra...)
-		b.Vecs = append(b.Vecs, r.Vec...)
-		b.closeRow()
+		b.push(&recs[i])
 	}
 }
 
 // Decode fills the batch from a frame's raw (checksum-verified) payload
-// bytes, cross-checking the record count claimed by the directory entry
-// exactly as the record decoder does.
+// bytes and cross-checks the record count claimed by the directory
+// entry. Version-4 frames decode straight into the columns; the
+// fixed-width records of versions 1–3 are walked with the frame cursor,
+// one scratch record at a time.
 func (b *Batch) Decode(version uint32, fe FrameEntry, buf []byte) error {
 	b.reset()
-	var err error
+	if err := b.cur.init(version, buf); err != nil {
+		return err
+	}
 	if version >= 4 {
-		if err = b.cur.init(version, buf); err != nil {
+		if err := b.decodeV4(); err != nil {
 			return err
 		}
-		err = b.decodeV4()
 	} else {
-		err = b.decodeFixed(buf)
-	}
-	if err != nil {
-		return err
+		for len(b.cur.buf) > 0 {
+			// The previous row is already in the columns, so its arena
+			// block can be handed out again.
+			b.vals.reset()
+			if err := b.cur.next(&b.scratch, &b.vals); err != nil {
+				return err
+			}
+			b.push(&b.scratch)
+		}
 	}
 	if b.N != int(fe.Records) {
 		return fmt.Errorf("interval: frame claims %d records, found %d", fe.Records, b.N)
 	}
-	return nil
-}
-
-// decodeFixed parses length-prefixed fixed-width records (header
-// versions 1–3) straight into columns.
-func (b *Batch) decodeFixed(buf []byte) error {
-	for len(buf) > 0 {
-		payload, n, err := NextFramed(buf)
-		if err != nil {
-			return err
-		}
-		buf = buf[n:]
-		if err := b.appendPayload(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendPayload columnar-decodes one fixed-width payload, mirroring
-// decodePayload's layout and validation.
-func (b *Batch) appendPayload(p []byte) error {
-	if len(p) < profile.CommonSize {
-		return fmt.Errorf("interval: payload %d bytes, need at least %d", len(p), profile.CommonSize)
-	}
-	typ := events.Type(binary.LittleEndian.Uint16(p[0:]))
-	b.pushCommon(typ,
-		profile.Bebits(p[2]),
-		clock.Time(binary.LittleEndian.Uint64(p[3:])),
-		clock.Time(binary.LittleEndian.Uint64(p[11:])),
-		binary.LittleEndian.Uint16(p[19:]),
-		binary.LittleEndian.Uint16(p[21:]),
-		binary.LittleEndian.Uint16(p[23:]))
-	rest := p[profile.CommonSize:]
-	if events.VectorField(typ) != "" {
-		nx := len(events.ExtraFields(typ))
-		if len(rest) < 8*nx+2 {
-			return fmt.Errorf("interval: %s record too short for %d extras + vector counter", typ.Name(), nx)
-		}
-		for i := 0; i < nx; i++ {
-			b.Extras = append(b.Extras, binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-		rest = rest[8*nx:]
-		nv := int(binary.LittleEndian.Uint16(rest))
-		rest = rest[2:]
-		if len(rest) != 8*nv {
-			return fmt.Errorf("interval: vector claims %d elements, %d bytes follow", nv, len(rest))
-		}
-		for i := 0; i < nv; i++ {
-			b.Vecs = append(b.Vecs, binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-		b.closeRow()
-		return nil
-	}
-	if len(rest)%8 != 0 {
-		return fmt.Errorf("interval: %d trailing bytes not a whole number of extras", len(rest))
-	}
-	for i := 0; i < len(rest)/8; i++ {
-		b.Extras = append(b.Extras, binary.LittleEndian.Uint64(rest[8*i:]))
-	}
-	b.closeRow()
 	return nil
 }
 
@@ -334,27 +295,29 @@ func (f *File) DecodeFrameBatch(fe FrameEntry, b *Batch) error {
 		b.FromRecords(recs)
 		return nil
 	}
+	return f.decodeFrameBatchDirect(fe, b)
+}
+
+// decodeFrameBatchDirect reads fe into a pooled buffer and
+// columnar-decodes it into b. The read is positioned whenever the
+// underlying reader supports it — it never moves the file's seek
+// offset, so concurrent decodes of one File are safe — with a
+// seek-based fallback for plain readers.
+func (f *File) decodeFrameBatchDirect(fe FrameEntry, b *Batch) error {
 	pb := getBuf()
-	buf, err := f.decodeFrameBatchDirect(fe, b, *pb)
+	defer putBuf(pb)
+	var buf []byte
+	var err error
+	if f.ra != nil {
+		buf, err = f.ReadFrameAt(fe, *pb)
+	} else {
+		buf, err = f.readFrameInto(fe, *pb)
+	}
 	if buf != nil {
 		*pb = buf[:0]
 	}
-	putBuf(pb)
-	return err
-}
-
-// decodeFrameBatchDirect reads fe (positioned when supported) into buf
-// and columnar-decodes it into b, returning the possibly grown buffer
-// for reuse.
-func (f *File) decodeFrameBatchDirect(fe FrameEntry, b *Batch, buf []byte) ([]byte, error) {
-	var err error
-	if f.ra != nil {
-		buf, err = f.ReadFrameAt(fe, buf)
-	} else {
-		buf, err = f.readFrameInto(fe, buf)
-	}
 	if err != nil {
-		return buf, err
+		return err
 	}
-	return buf, b.Decode(f.Header.HeaderVersion, fe, buf)
+	return b.Decode(f.Header.HeaderVersion, fe, buf)
 }

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -88,10 +89,37 @@ func eqRecord(a, b Record) bool {
 	return true
 }
 
+// scanFrames is the streaming oracle: it reads f with the Scanner (the
+// per-record frame cursor, independent of Batch.Decode) and splits the
+// records into frames by the directory's record counts.
+func scanFrames(t *testing.T, f *File) ([]FrameEntry, [][]Record) {
+	t.Helper()
+	fes, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := f.Scan().All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]Record, len(fes))
+	for i, fe := range fes {
+		if int(fe.Records) > len(all) {
+			t.Fatalf("frame %d claims %d records, %d left in the scan", i, fe.Records, len(all))
+		}
+		frames[i], all = all[:fe.Records], all[fe.Records:]
+	}
+	if len(all) != 0 {
+		t.Fatalf("%d scanned records beyond the last frame", len(all))
+	}
+	return fes, frames
+}
+
 // TestBatchMatchesRecordDecode decodes every frame of every header
-// version both ways — record materialization and columnar batch — and
-// compares row by row, reusing one Batch throughout so stale column
-// contents from previous frames would be caught.
+// version into one reused Batch and compares it row by row with the
+// streaming Scanner's records, so stale column contents from previous
+// frames would be caught and the oracle shares no decode code with the
+// batch path.
 func TestBatchMatchesRecordDecode(t *testing.T) {
 	for v := uint32(1); v <= CurrentHeaderVersion; v++ {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
@@ -100,32 +128,23 @@ func TestBatchMatchesRecordDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fes, err := f.Frames()
-			if err != nil {
-				t.Fatal(err)
-			}
+			fes, frames := scanFrames(t, f)
 			if len(fes) < 4 {
 				t.Fatalf("want a multi-frame file, got %d frames", len(fes))
 			}
 			var b Batch
 			total := 0
-			for _, fe := range fes {
-				recs, err := f.DecodeFrame(fe)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for fi, fe := range fes {
 				if err := f.DecodeFrameBatch(fe, &b); err != nil {
 					t.Fatal(err)
 				}
+				recs := frames[fi]
 				if b.N != len(recs) {
-					t.Fatalf("frame at %d: batch N=%d, records=%d", fe.Offset, b.N, len(recs))
+					t.Fatalf("frame at %d: batch N=%d, scanner=%d", fe.Offset, b.N, len(recs))
 				}
 				for i, want := range recs {
 					if got := b.Row(i); !eqRecord(got, want) {
-						t.Fatalf("frame at %d row %d: batch %+v, record %+v", fe.Offset, i, got, want)
-					}
-					if got := b.RowCopy(i); !eqRecord(got, want) {
-						t.Fatalf("frame at %d row %d: RowCopy %+v, record %+v", fe.Offset, i, got, want)
+						t.Fatalf("frame at %d row %d: batch %+v, scanner %+v", fe.Offset, i, got, want)
 					}
 					if want.End() != b.End(i) {
 						t.Fatalf("frame at %d row %d: End mismatch", fe.Offset, i)
@@ -140,102 +159,185 @@ func TestBatchMatchesRecordDecode(t *testing.T) {
 	}
 }
 
-// TestBatchEncodedRowSize checks the accumulation-format size estimate
-// against the writer's framing: summing EncodedRowSize over a frame's
-// rows must reproduce the record payload+prefix accounting the writer
-// used to close that frame (frame assignment is based on it).
-func TestBatchEncodedRowSize(t *testing.T) {
-	sb, _ := writeMixedFile(t, 99, 200, CurrentHeaderVersion)
-	f, err := NewFile(NewSeekBufferFrom(sb.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fes, err := f.Frames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Batch
-	for _, fe := range fes {
-		if err := f.DecodeFrameBatch(fe, &b); err != nil {
+// TestBatchRecords pins the copy-out contract: Records equals the
+// scanner's records, leaves Extra/Vec nil on rows without values, gives
+// every row a capacity-clamped slice (appending to one never writes
+// into its neighbour), and shares nothing with the batch, which is
+// reused for the next frame.
+func TestBatchRecords(t *testing.T) {
+	for v := uint32(1); v <= CurrentHeaderVersion; v++ {
+		sb, _ := writeMixedFile(t, 0xc0c0+uint64(v), 300, v)
+		f, err := NewFile(NewSeekBufferFrom(sb.Bytes()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < b.N; i++ {
-			r := b.Row(i)
-			if got, want := b.EncodedRowSize(i), r.EncodedSize(); got != want {
-				t.Fatalf("row %d (%v): EncodedRowSize=%d, want %d", i, r.Type, got, want)
+		fes, frames := scanFrames(t, f)
+		var b Batch
+		var kept [][]Record
+		var noExtra, noVec int
+		for fi, fe := range fes {
+			if err := f.DecodeFrameBatch(fe, &b); err != nil {
+				t.Fatal(err)
+			}
+			recs := b.Records()
+			if len(recs) != len(frames[fi]) {
+				t.Fatalf("v%d frame %d: Records returned %d, scanner %d", v, fi, len(recs), len(frames[fi]))
+			}
+			for i := range recs {
+				if !reflect.DeepEqual(recs[i], frames[fi][i]) {
+					t.Fatalf("v%d frame %d row %d: Records %+v, scanner %+v", v, fi, i, recs[i], frames[fi][i])
+				}
+				if b.ExtraOff[i+1] == b.ExtraOff[i] {
+					noExtra++
+					if recs[i].Extra != nil {
+						t.Fatalf("v%d frame %d row %d: empty Extra is %#v, want nil", v, fi, i, recs[i].Extra)
+					}
+				}
+				if b.VecOff[i+1] == b.VecOff[i] {
+					noVec++
+					if recs[i].Vec != nil {
+						t.Fatalf("v%d frame %d row %d: empty Vec is %#v, want nil", v, fi, i, recs[i].Vec)
+					}
+				}
+			}
+			for i := 0; i+1 < len(recs); i++ {
+				x, next := recs[i].Extra, recs[i+1].Extra
+				if len(x) == 0 || len(next) == 0 {
+					continue
+				}
+				before := append([]uint64(nil), next...)
+				recs[i].Extra = append(x, 0xdead)
+				if !reflect.DeepEqual(recs[i+1].Extra, before) {
+					t.Fatalf("v%d frame %d: appending to row %d's Extra changed row %d", v, fi, i, i+1)
+				}
+				recs[i].Extra = x
+			}
+			kept = append(kept, recs)
+		}
+		if noExtra == 0 || noVec == 0 {
+			t.Fatalf("v%d: file has no rows without extras (%d) or vectors (%d)", v, noExtra, noVec)
+		}
+		// Every earlier frame's records must survive the batch being
+		// refilled by each later frame.
+		for fi := range kept {
+			if !reflect.DeepEqual(kept[fi], frames[fi]) {
+				t.Fatalf("v%d frame %d: records changed after the batch was reused", v, fi)
 			}
 		}
 	}
 }
 
-// TestMapFilesBatchesOrdering verifies the batch engine delivers frames
-// in the same order and with the same contents as MapFilesFrames, at
-// several worker counts.
+// TestDecodeFrameDirectAllocs guards the copy-out's allocation count: a
+// frame decodes into a pooled batch and leaves it as three allocations
+// (records, extras, vectors) no matter how many extra and vector values
+// it carries — far more here than one 4096-value arena chunk holds.
+func TestDecodeFrameDirectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and sync.Pool drops items; count is meaningless")
+	}
+	rng := xrand.New(5)
+	sb := NewSeekBuffer()
+	w, err := NewWriter(sb, testHeader(), WriterOptions{FrameBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := 0
+	for i := 0; i < 200; i++ {
+		r := Record{Type: events.EvMPIWaitall, Bebits: profile.Complete, Start: clock.Time(i * 10), Dura: 5, Node: uint16(i % 2)}
+		r.Extra = []uint64{30, rng.Uint64() % 1000}
+		r.Vec = make([]uint64, 90)
+		for j := range r.Vec {
+			r.Vec[j] = rng.Uint64() % 100000
+		}
+		values += len(r.Extra) + len(r.Vec)
+		if err := w.Add(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f := openFile(t, sb)
+	if f.Header.HeaderVersion != 4 {
+		t.Fatalf("header version %d, want a v4 file", f.Header.HeaderVersion)
+	}
+	fes, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fes) != 1 || values <= 3*4096 {
+		t.Fatalf("want one frame of more than %d values, got %d frames, %d values", 3*4096, len(fes), values)
+	}
+	if _, err := f.DecodeFrameDirect(fes[0]); err != nil { // warm the batch and buffer pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := f.DecodeFrameDirect(fes[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("DecodeFrameDirect allocates %v times per frame, want at most 4", allocs)
+	}
+}
+
+// TestMapFilesBatchesOrdering verifies the engine delivers frames in
+// (file, frame) order with the scanner's contents, at several worker
+// counts, across files sharing one worker pool.
 func TestMapFilesBatchesOrdering(t *testing.T) {
 	sb, _ := writeMixedFile(t, 7, 300, CurrentHeaderVersion)
 	sb2, _ := writeMixedFile(t, 8, 150, CurrentHeaderVersion)
 	var files []*File
-	for _, s := range []*SeekBuffer{sb, sb2} {
+	var want []string
+	sum := func(recs []Record) uint64 {
+		var s uint64
+		for _, r := range recs {
+			s += uint64(r.Start) + uint64(r.Type)
+			for _, e := range r.Extra {
+				s += e
+			}
+			for _, v := range r.Vec {
+				s += v
+			}
+		}
+		return s
+	}
+	for fi, s := range []*SeekBuffer{sb, sb2} {
 		f, err := NewFile(NewSeekBufferFrom(s.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
+		fes, frames := scanFrames(t, f)
+		for i, fe := range fes {
+			want = append(want, fmt.Sprintf("%d/%d: sum=%d", fi, fe.Offset, sum(frames[i])))
+		}
 	}
-	render := func(parallel int, batched bool) string {
-		var out []string
-		add := func(file int, fe FrameEntry, sum uint64, n int) {
-			out = append(out, fmt.Sprintf("%d/%d: n=%d sum=%d", file, fe.Offset, n, sum))
-		}
-		var err error
-		if batched {
-			err = MapFilesBatches(files, MapOptions{Parallel: parallel},
-				func(file int, fe FrameEntry, b *Batch) (uint64, error) {
-					var sum uint64
-					for i := 0; i < b.N; i++ {
-						sum += uint64(b.Start[i]) + uint64(b.Type[i])
-						for _, e := range b.ExtraRow(i) {
-							sum += e
-						}
-						for _, v := range b.VecRow(i) {
-							sum += v
-						}
+	for _, par := range []int{1, 2, 8} {
+		var got []string
+		err := MapFilesBatches(files, MapOptions{Parallel: par},
+			func(_ int, _ FrameEntry, b *Batch) (uint64, error) {
+				var s uint64
+				for i := 0; i < b.N; i++ {
+					s += uint64(b.Start[i]) + uint64(b.Type[i])
+					for _, e := range b.ExtraRow(i) {
+						s += e
 					}
-					return sum, nil
-				},
-				func(file int, fe FrameEntry, sum uint64) error {
-					add(file, fe, sum, 0)
-					return nil
-				})
-		} else {
-			err = MapFilesFrames(files, MapOptions{Parallel: parallel},
-				func(file int, fe FrameEntry, recs []Record) (uint64, error) {
-					var sum uint64
-					for _, r := range recs {
-						sum += uint64(r.Start) + uint64(r.Type)
-						for _, e := range r.Extra {
-							sum += e
-						}
-						for _, v := range r.Vec {
-							sum += v
-						}
+					for _, v := range b.VecRow(i) {
+						s += v
 					}
-					return sum, nil
-				},
-				func(file int, fe FrameEntry, sum uint64) error {
-					add(file, fe, sum, 0)
-					return nil
-				})
-		}
+				}
+				return s, nil
+			},
+			func(file int, fe FrameEntry, s uint64) error {
+				got = append(got, fmt.Sprintf("%d/%d: sum=%d", file, fe.Offset, s))
+				return nil
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(out)
-	}
-	want := render(1, false)
-	for _, par := range []int{1, 2, 8} {
-		if got := render(par, true); got != want {
-			t.Fatalf("batched -j%d order/content differs:\n%s\nwant:\n%s", par, got, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("-j%d order/content differs:\n%v\nwant:\n%v", par, got, want)
 		}
 	}
 }

@@ -376,15 +376,20 @@ func (c *frameCursor) next(r *Record, a *u64Arena) error {
 
 // u64Arena hands out capacity-clamped []uint64 blocks carved from
 // append-only chunks. Blocks from one arena share chunk backing arrays
-// but can never grow into each other (three-index slices), and chunks
-// are never recycled, so a block stays valid for the life of the
-// records holding it. Decode loops use one to amortize the per-record
+// but can never grow into each other (three-index slices), and unless
+// the arena is reset its chunks are never recycled, so a block stays
+// valid for the life of the records holding it. Decode loops use one to amortize the per-record
 // Extra/Vec allocation into one allocation per ~4096 elements.
 type u64Arena struct {
 	chunk []uint64
 }
 
 const arenaChunkLen = 4096
+
+// reset hands the current chunk out again from its start. Only a caller
+// that has copied out every block it was given may reset: later blocks
+// overwrite earlier ones.
+func (a *u64Arena) reset() { a.chunk = a.chunk[:0] }
 
 func (a *u64Arena) alloc(n int) []uint64 {
 	if n == 0 {

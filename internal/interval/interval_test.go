@@ -128,7 +128,7 @@ func writeTestFile(t *testing.T, n int, opts WriterOptions) *SeekBuffer {
 
 func TestWriteReadHeader(t *testing.T) {
 	sb := writeTestFile(t, 10, WriterOptions{})
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestWriteReadHeader(t *testing.T) {
 func TestScanRoundTrip(t *testing.T) {
 	const n = 500
 	sb := writeTestFile(t, n, WriterOptions{FrameBytes: 512, FramesPerDir: 4})
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestScanRoundTrip(t *testing.T) {
 
 func TestMultipleDirectoriesLinked(t *testing.T) {
 	sb := writeTestFile(t, 2000, WriterOptions{FrameBytes: 256, FramesPerDir: 4})
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMultipleDirectoriesLinked(t *testing.T) {
 
 func TestFrameEntriesConsistent(t *testing.T) {
 	sb := writeTestFile(t, 1000, WriterOptions{FrameBytes: 512, FramesPerDir: 8})
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestFrameEntriesConsistent(t *testing.T) {
 	}
 	var total int64
 	for i, fe := range fes {
-		recs, err := f.FrameRecords(fe)
+		recs, err := f.DecodeFrameDirect(fe)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -250,7 +250,7 @@ func TestFrameEntriesConsistent(t *testing.T) {
 
 func TestFrameContaining(t *testing.T) {
 	sb := writeTestFile(t, 3000, WriterOptions{FrameBytes: 512, FramesPerDir: 4})
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestFrameContaining(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	sb := writeTestFile(t, 100, WriterOptions{FrameBytes: 512})
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestEmptyFile(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestFileOnDisk(t *testing.T) {
 
 func TestScannerEOFIsSticky(t *testing.T) {
 	sb := writeTestFile(t, 3, WriterOptions{})
-	f, _ := ReadHeader(sb)
+	f, _ := NewFile(sb)
 	s := f.Scan()
 	for i := 0; i < 3; i++ {
 		if _, err := s.Next(); err != nil {
@@ -418,7 +418,7 @@ func TestGenericAccessAgreesWithDecoder(t *testing.T) {
 	// must agree on every field of every record.
 	p := profile.Standard()
 	sb := writeTestFile(t, 50, WriterOptions{})
-	f, _ := ReadHeader(sb)
+	f, _ := NewFile(sb)
 	sc := f.Scan()
 	for {
 		payload, err := sc.Next()
@@ -461,7 +461,7 @@ func TestFigure5TotalBytesSent(t *testing.T) {
 	// The paper's Figure 5 program: sum msgSizeSent over all records.
 	p := profile.Standard()
 	sb := writeTestFile(t, 100, WriterOptions{FrameBytes: 512})
-	f, _ := ReadHeader(sb)
+	f, _ := NewFile(sb)
 	var total int64
 	sc := f.Scan()
 	for {

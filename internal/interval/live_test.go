@@ -252,7 +252,7 @@ func TestSealPrefixSalvage(t *testing.T) {
 		}
 		var recovered []Record
 		for _, fe := range res.Frames {
-			recs, err := f.FrameRecords(fe)
+			recs, err := f.DecodeFrameDirect(fe)
 			if err != nil {
 				t.Fatalf("seal %d: decode salvaged frame: %v", i, err)
 			}

@@ -7,11 +7,9 @@ import (
 )
 
 // This file is the package's single entry point for opening interval
-// data. Historically there were three: Open (a path), ReadHeader (an
-// io.ReadSeeker), and OpenSalvage (a path, tolerating damage). They are
-// now one pair — Open for paths, NewFile for readers — configured by
-// functional options; the old names remain as thin deprecated wrappers
-// so existing callers keep compiling unchanged.
+// data: Open for paths, NewFile for readers, both configured by
+// functional options (salvage, checksum verification, pyramid
+// auto-load, live tail).
 
 // Option configures Open and NewFile.
 type Option func(*openOptions)
@@ -74,9 +72,8 @@ func WithLiveTail(sealedSize int64) Option {
 	return func(o *openOptions) { o.liveTail = sealedSize }
 }
 
-// Open opens an interval file on disk. With no options it behaves
-// exactly as the historical Open plus the advisory pyramid sidecar
-// auto-load; see WithSalvage, WithVerifyChecksums, and WithPyramid for
+// Open opens an interval file on disk, auto-loading the advisory
+// pyramid sidecar; see WithSalvage, WithVerifyChecksums, and WithPyramid for
 // the configurable behaviors.
 func Open(path string, opts ...Option) (*File, error) {
 	o := defaultOpenOptions()
@@ -133,30 +130,4 @@ func NewFile(r io.ReadSeeker, opts ...Option) (*File, error) {
 		*o.salvage = *f.Salvage()
 	}
 	return f, nil
-}
-
-// ReadHeader parses the header, thread table, and marker table, leaving
-// the file positioned at the first frame directory.
-//
-// Deprecated: use NewFile, which additionally accepts Options. ReadHeader
-// is NewFile with no options.
-func ReadHeader(r io.ReadSeeker) (*File, error) { return NewFile(r) }
-
-// OpenSalvage opens an interval file for best-effort recovery. Unlike
-// plain Open it only fails when the fixed header itself is unreadable —
-// everything after the header is handled by the salvage pass, which
-// never fails. The returned File must still be closed by the caller.
-//
-// Deprecated: use Open with WithSalvage, which reports the recovery
-// through the option's sink:
-//
-//	var res SalvageResult
-//	f, err := Open(path, WithSalvage(&res))
-func OpenSalvage(path string) (*File, *SalvageResult, error) {
-	var res SalvageResult
-	f, err := Open(path, WithSalvage(&res))
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, &res, nil
 }

@@ -2,9 +2,9 @@ package interval
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,10 +20,10 @@ func writeTempFile(t *testing.T, sb *SeekBuffer) string {
 	return p
 }
 
-// TestOpenMatchesDeprecatedWrappers pins the migration contract: the
-// unified Open/NewFile and the deprecated ReadHeader/OpenSalvage
-// wrappers see exactly the same file.
-func TestOpenMatchesDeprecatedWrappers(t *testing.T) {
+// TestOpenMatchesNewFile pins the two entry points to one reader: Open
+// on a path and NewFile on the same bytes see exactly the same records,
+// and Open(WithSalvage) of an undamaged file recovers every frame.
+func TestOpenMatchesNewFile(t *testing.T) {
 	sb, recs := writeRandomFile(t, 11, 400, CurrentHeaderVersion)
 	p := writeTempFile(t, sb)
 
@@ -32,7 +32,7 @@ func TestOpenMatchesDeprecatedWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f1.Close()
-	f2, err := ReadHeader(NewSeekBufferFrom(sb.Bytes()))
+	f2, err := NewFile(NewSeekBufferFrom(sb.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,26 +45,24 @@ func TestOpenMatchesDeprecatedWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(all1, all2) || len(all1) != len(recs) {
-		t.Fatalf("Open and ReadHeader scans disagree (%d vs %d records)", len(all1), len(all2))
+		t.Fatalf("Open and NewFile scans disagree (%d vs %d records)", len(all1), len(all2))
 	}
 
-	f3, res, err := OpenSalvage(p)
+	var res SalvageResult
+	f3, err := Open(p, WithSalvage(&res))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f3.Close()
-	var res2 SalvageResult
-	f4, err := Open(p, WithSalvage(&res2))
+	frames, err := f1.Frames()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f4.Close()
-	if res.Report.Clean() != res2.Report.Clean() || len(res.Frames) != len(res2.Frames) {
-		t.Fatalf("OpenSalvage and Open(WithSalvage) disagree: %d vs %d frames",
-			len(res.Frames), len(res2.Frames))
+	if !res.Report.Clean() {
+		t.Fatalf("salvage of an undamaged file reports damage: %+v", res.Report)
 	}
-	if !res2.Report.Clean() {
-		t.Fatalf("salvage of an undamaged file reports damage: %+v", res2.Report)
+	if len(res.Frames) != len(frames) {
+		t.Fatalf("Open(WithSalvage) recovered %d frames, the directory lists %d", len(res.Frames), len(frames))
 	}
 }
 

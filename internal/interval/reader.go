@@ -560,16 +560,6 @@ func (f *File) readFrameInto(fe FrameEntry, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// FrameRecords decodes every record of a frame with a fresh read,
-// ignoring any frame-decode hook.
-func (f *File) FrameRecords(fe FrameEntry) ([]Record, error) {
-	buf, err := f.ReadFrame(fe)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFrameRecords(f.Header.HeaderVersion, fe, buf)
-}
-
 // DecodeFrame returns fe's decoded records through the frame-decode
 // hook when one is installed (a cache hit costs no read and no decode),
 // falling back to DecodeFrameDirect. The result may be shared with
@@ -582,54 +572,19 @@ func (f *File) DecodeFrame(fe FrameEntry) ([]Record, error) {
 }
 
 // DecodeFrameDirect reads and decodes fe, bypassing the frame-decode
-// hook — it is the miss path a FrameDecoder itself must use. The read
-// is positioned (never moving the file's seek offset) whenever the
+// hook — it is the miss path a FrameDecoder itself must use. The frame
+// is decoded into a pooled Batch and copied out with Batch.Records, so
+// the result owns its memory and may be retained. The read is
+// positioned (never moving the file's seek offset) whenever the
 // underlying reader supports it, so concurrent calls are safe on such
 // files.
 func (f *File) DecodeFrameDirect(fe FrameEntry) ([]Record, error) {
-	pb := getBuf()
-	var buf []byte
-	var err error
-	if f.ra != nil {
-		buf, err = f.ReadFrameAt(fe, *pb)
-	} else {
-		buf, err = f.readFrameInto(fe, *pb)
-	}
-	if buf != nil {
-		*pb = buf[:0]
-	}
-	if err != nil {
-		putBuf(pb)
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
+	if err := f.decodeFrameBatchDirect(fe, b); err != nil {
 		return nil, err
 	}
-	recs, err := decodeFrameRecords(f.Header.HeaderVersion, fe, buf)
-	putBuf(pb)
-	return recs, err
-}
-
-// decodeFrameRecords decodes a frame's already-read (and
-// checksum-verified) payload and cross-checks the record count claimed
-// by the directory entry. Extra/Vec slices come from one arena, so a
-// frame costs O(1) allocations instead of one per record; the records
-// own their blocks and may be retained (the MapFrames contract).
-func decodeFrameRecords(version uint32, fe FrameEntry, buf []byte) ([]Record, error) {
-	var cur frameCursor
-	if err := cur.init(version, buf); err != nil {
-		return nil, err
-	}
-	recs := make([]Record, 0, fe.Records)
-	var a u64Arena
-	for len(cur.buf) > 0 {
-		var r Record
-		if err := cur.next(&r, &a); err != nil {
-			return nil, err
-		}
-		recs = append(recs, r)
-	}
-	if len(recs) != int(fe.Records) {
-		return nil, fmt.Errorf("interval: frame claims %d records, found %d", fe.Records, len(recs))
-	}
-	return recs, nil
+	return b.Records(), nil
 }
 
 // FrameContaining locates the first frame whose time range covers t,

@@ -59,7 +59,7 @@ func buildPristine(t *testing.T, version uint32, seed uint64, n int) *pristineFi
 			hdrRange,
 			faultfs.Range{Off: d.Offset + hdrSize, Len: int64(len(d.Entries)) * esz})
 		for i, fe := range d.Entries {
-			recs, err := f.FrameRecords(fe)
+			recs, err := f.DecodeFrameDirect(fe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func checkScenario(t *testing.T, p *pristineFile, damaged []byte, fault faultfs.
 			t.Fatalf("%s: salvage panicked: %v", label, r)
 		}
 	}()
-	f, err := ReadHeader(NewSeekBufferFrom(damaged))
+	f, err := NewFile(NewSeekBufferFrom(damaged))
 	if err != nil {
 		// The fixed header / tables region is before FirstDir and is
 		// never damaged by the harness, so open must succeed.
@@ -119,7 +119,7 @@ func checkScenario(t *testing.T, p *pristineFile, damaged []byte, fault faultfs.
 			t.Fatalf("%s: salvage emitted frame %+v absent from the pristine file", label, fe)
 		}
 		recovered[fe.Offset] = true
-		recs, err := f.FrameRecords(fe)
+		recs, err := f.DecodeFrameDirect(fe)
 		if err != nil {
 			t.Fatalf("%s: recovered frame at %d unreadable: %v", label, fe.Offset, err)
 		}
@@ -201,7 +201,7 @@ func TestSalvageTornWriterCrash(t *testing.T) {
 		refRecs := map[int64][]Record{}
 		for _, d := range refDirs {
 			for _, fe := range d.Entries {
-				rs, err := ref.FrameRecords(fe)
+				rs, err := ref.DecodeFrameDirect(fe)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,7 +226,7 @@ func TestSalvageTornWriterCrash(t *testing.T) {
 			}
 			// No Close: the process died.
 
-			f, err := ReadHeader(NewSeekBufferFrom(tw.Bytes()))
+			f, err := NewFile(NewSeekBufferFrom(tw.Bytes()))
 			if err != nil {
 				t.Fatalf("v%d horizon %d: header unreadable: %v", version, horizon, err)
 			}
@@ -239,7 +239,7 @@ func TestSalvageTornWriterCrash(t *testing.T) {
 				if !ok {
 					t.Fatalf("v%d horizon %d: salvage invented frame at %d", version, horizon, fe.Offset)
 				}
-				got, err := f.FrameRecords(fe)
+				got, err := f.DecodeFrameDirect(fe)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("v%d horizon %d: frame at %d differs from reference (%v)", version, horizon, fe.Offset, err)
 				}
@@ -283,7 +283,7 @@ func TestSalvageBadSectors(t *testing.T) {
 		rng := faultfs.New(seed)
 		_, fault := rng.TearZero(p.bytes, p.firstDir, int64(len(p.bytes))/8)
 		bad := fault.Range
-		f, err := ReadHeader(faultfs.NewBadSector(p.bytes, bad))
+		f, err := NewFile(faultfs.NewBadSector(p.bytes, bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestSalvageBadSectors(t *testing.T) {
 // transport (the io.Reader contract allows partial reads).
 func TestScannerThroughShortReads(t *testing.T) {
 	sb, recs := writeRandomFile(t, 88, 400, CurrentHeaderVersion)
-	f, err := ReadHeader(faultfs.NewShortReader(NewSeekBufferFrom(sb.Bytes()), 5, 3))
+	f, err := NewFile(faultfs.NewShortReader(NewSeekBufferFrom(sb.Bytes()), 5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,11 @@ import (
 	"tracefw/internal/profile"
 )
 
-// salvageOpen is the test entry point: ReadHeader + Salvage over an
+// salvageOpen is the test entry point: NewFile + Salvage over an
 // in-memory file.
 func salvageOpen(t *testing.T, b []byte) (*File, *SalvageResult) {
 	t.Helper()
-	f, err := ReadHeader(NewSeekBufferFrom(b))
+	f, err := NewFile(NewSeekBufferFrom(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func recordsOf(t *testing.T, f *File, frames []FrameEntry) []Record {
 	t.Helper()
 	var out []Record
 	for _, fe := range frames {
-		rs, err := f.FrameRecords(fe)
+		rs, err := f.DecodeFrameDirect(fe)
 		if err != nil {
 			t.Fatalf("salvaged frame at %d unreadable: %v", fe.Offset, err)
 		}
@@ -240,7 +240,7 @@ func TestRepairProducesValidFile(t *testing.T) {
 		if rep.FramesWritten != len(sv.Frames) || rep.FramesSkipped != 0 {
 			t.Fatalf("v%d: repair report %+v for %d frames", version, rep, len(sv.Frames))
 		}
-		rf, err := ReadHeader(NewSeekBufferFrom(out.Bytes()))
+		rf, err := NewFile(NewSeekBufferFrom(out.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestRepairEmptySalvage(t *testing.T) {
 	if _, err := Repair(f, sv, out, WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	rf, err := ReadHeader(NewSeekBufferFrom(out.Bytes()))
+	rf, err := NewFile(NewSeekBufferFrom(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,16 +123,16 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 			} else if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("seed %d: v%d decode differs from v1", seed, v)
 			}
-			// MapFrames must agree with the sequential scan.
+			// The map-reduce engine must agree with the sequential scan.
 			var mapped []Record
-			err := MapFrames(openFile(t, sb), MapOptions{Parallel: 2},
-				func(fe FrameEntry, recs []Record) ([]Record, error) { return recs, nil },
-				func(fe FrameEntry, recs []Record) error { mapped = append(mapped, recs...); return nil })
+			err := MapFilesBatches([]*File{openFile(t, sb)}, MapOptions{Parallel: 2},
+				func(_ int, _ FrameEntry, b *Batch) ([]Record, error) { return b.Records(), nil },
+				func(_ int, _ FrameEntry, recs []Record) error { mapped = append(mapped, recs...); return nil })
 			if err != nil {
-				t.Fatalf("seed %d v%d: MapFrames: %v", seed, v, err)
+				t.Fatalf("seed %d v%d: MapFilesBatches: %v", seed, v, err)
 			}
 			if !reflect.DeepEqual(mapped, got) {
-				t.Fatalf("seed %d v%d: MapFrames records differ from scan", seed, v)
+				t.Fatalf("seed %d v%d: MapFilesBatches records differ from scan", seed, v)
 			}
 		}
 	}
@@ -263,7 +263,7 @@ func TestV4SalvageRejectsUndecodableFrame(t *testing.T) {
 	dsum := dirChecksum(uint32(len(d.Entries)), d.Start, d.End, uint64(d.Records), entRaw)
 	binary.LittleEndian.PutUint32(data[d.Offset+48:], dsum)
 
-	cf, err := ReadHeader(NewSeekBufferFrom(data))
+	cf, err := NewFile(NewSeekBufferFrom(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestV4SalvageRejectsUndecodableFrame(t *testing.T) {
 	if _, err := Repair(cf, sv, out, WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	rf, err := ReadHeader(NewSeekBufferFrom(out.Bytes()))
+	rf, err := NewFile(NewSeekBufferFrom(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

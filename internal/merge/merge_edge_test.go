@@ -58,7 +58,7 @@ func TestMergeAllEqualEndTimes(t *testing.T) {
 	mkFiles := func() []*interval.File {
 		files := make([]*interval.File, streams)
 		for s := range files {
-			f, err := interval.ReadHeader(interval.NewSeekBufferFrom(tieFile(t, s, perStream)))
+			f, err := interval.NewFile(interval.NewSeekBufferFrom(tieFile(t, s, perStream)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestMergeAllEqualEndTimes(t *testing.T) {
 	// With every key equal, a stream is drained completely before the
 	// next one starts: the winner of each all-way tie is always the
 	// lowest live stream index.
-	mf, err := interval.ReadHeader(interval.NewSeekBufferFrom(ref))
+	mf, err := interval.NewFile(interval.NewSeekBufferFrom(ref))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMergeAllEqualEndTimes(t *testing.T) {
 // and never panic or produce output passing for complete.
 func TestMergeTruncatedMidFrame(t *testing.T) {
 	whole := tieFile(t, 0, 40)
-	pf, err := interval.ReadHeader(interval.NewSeekBufferFrom(whole))
+	pf, err := interval.NewFile(interval.NewSeekBufferFrom(whole))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMergeTruncatedMidFrame(t *testing.T) {
 	last := frames[len(frames)-1]
 	cut := last.Offset + int64(last.Bytes)/2
 
-	tf, err := interval.ReadHeader(interval.NewSeekBufferFrom(whole[:cut]))
+	tf, err := interval.NewFile(interval.NewSeekBufferFrom(whole[:cut]))
 	if err != nil {
 		// The truncated file may already fail to open; that is an
 		// acceptable rejection, but then the merge path goes untested.
@@ -143,11 +143,11 @@ func TestMergeTruncatedMidFrame(t *testing.T) {
 	}
 
 	// A healthy companion input must not mask the damage.
-	good, err := interval.ReadHeader(interval.NewSeekBufferFrom(tieFile(t, 1, 8)))
+	good, err := interval.NewFile(interval.NewSeekBufferFrom(tieFile(t, 1, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf2, err := interval.ReadHeader(interval.NewSeekBufferFrom(whole[:cut]))
+	tf2, err := interval.NewFile(interval.NewSeekBufferFrom(whole[:cut]))
 	if err != nil {
 		t.Fatal(err)
 	}

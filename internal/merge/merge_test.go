@@ -251,7 +251,7 @@ func TestPseudoIntervalsPlanted(t *testing.T) {
 		if fe.Start <= mBegin || fe.End >= mEnd {
 			continue
 		}
-		frecs, err := mf.FrameRecords(fe)
+		frecs, err := mf.DecodeFrameDirect(fe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +426,7 @@ func TestOutlierFilteredMerge(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := interval.ReadHeader(sb)
+	f, err := interval.NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestOutlierFilteredMerge(t *testing.T) {
 		t.Fatalf("filtered ratio %.9f, want %.9f", res.Ratios[0], want)
 	}
 	// Without filtering the outlier perturbs the estimate measurably.
-	f2, _ := interval.ReadHeader(sb)
+	f2, _ := interval.NewFile(sb)
 	_, res2 := testutil.MergeRun(t, []*interval.File{f2}, merge.Options{})
 	if math.Abs(res2.Ratios[0]-want) <= math.Abs(res.Ratios[0]-want) {
 		t.Fatalf("unfiltered ratio %.9f unexpectedly at least as good as filtered %.9f",

@@ -183,11 +183,11 @@ func BuildDiagram(mf *interval.File, kind ViewKind, opts Options) (*Diagram, err
 	if opts.T1 > opts.T0 && !(opts.Connected && kind == ThreadActivity) {
 		mopts.Window, mopts.Lo, mopts.Hi = true, t0, t1
 	}
-	err := interval.MapFrames(mf, mopts,
-		func(_ interval.FrameEntry, recs []interval.Record) ([]interval.Record, error) {
-			return recs, nil
+	err := interval.MapFilesBatches([]*interval.File{mf}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) ([]interval.Record, error) {
+			return b.Records(), nil
 		},
-		func(_ interval.FrameEntry, recs []interval.Record) error {
+		func(_ int, _ interval.FrameEntry, recs []interval.Record) error {
 			for ri := range recs {
 				r := recs[ri]
 				if r.Type == events.EvGlobalClock {

@@ -30,12 +30,6 @@ type Options struct {
 	// serialization) runs in the engine's deterministic frame-order
 	// reduce.
 	Parallel int
-	// Columnar feeds pass 1 from columnar batches: the preview
-	// accumulates straight from the start/duration/type columns and only
-	// the records the arrow matcher inspects (p2p completions) are
-	// materialized. Output is byte-identical to the record-fed build;
-	// pass 2 (serialization) always consumes records.
-	Columnar bool
 }
 
 func (o Options) frameBytes() int {
@@ -150,140 +144,69 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	// The preview's proportional bin allocation is the per-record O(bins)
 	// hot loop, and it sums integer durations — associative, so per-frame
 	// partial matrices merged in any order equal the sequential result
-	// exactly. It runs in the concurrent map; everything order-sensitive
+	// exactly. It runs in the concurrent map, which also copies the frame
+	// out of its pooled batch for the reduce; everything order-sensitive
 	// (arrow matching, frame partitioning) runs in the frame-order
-	// reduce, expressed once as a per-record step shared by the
-	// record-fed and batch-fed variants below.
+	// reduce.
 	mopts := interval.MapOptions{Parallel: opts.Parallel}
 	var idx int64
-	step := func(start, end clock.Time, size int, mr *interval.Record) {
-		// Arrow matching on final pieces of p2p and wait operations.
-		if mr != nil {
-			m.observe(mr, &arrows, arrowFrame, len(frames))
-		}
-		if start < cur.lo {
-			cur.lo = start
-		}
-		if end > cur.hi {
-			cur.hi = end
-		}
-		closes := part.add(size)
-		cur.lastIdx = idx
-		if closes {
-			frames = append(frames, cur)
-			cur = newInfo(idx + 1)
-		}
-		idx++
+	type p1partial struct {
+		dur   [][]clock.Time
+		count []int64
+		recs  []interval.Record
 	}
-	mergePreview := func(dur [][]clock.Time, count []int64) {
-		for si := range prev.Dur {
-			dst, src := prev.Dur[si], dur[si]
-			for b := range dst {
-				dst[b] += src[b]
+	err = interval.MapFilesBatches([]*interval.File{mf}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*p1partial, error) {
+			pp := &p1partial{
+				dur:   make([][]clock.Time, len(events.StateTypes)),
+				count: make([]int64, len(events.StateTypes)),
+				recs:  b.Records(),
 			}
-			prev.Count[si] += count[si]
-		}
-	}
-	newBins := func() [][]clock.Time {
-		d := make([][]clock.Time, len(events.StateTypes))
-		for i := range d {
-			d[i] = make([]clock.Time, bins)
-		}
-		return d
-	}
-	if opts.Columnar {
-		// Batch-fed pass 1: the preview reads the type/start/duration
-		// columns in place; only matcher-relevant completions are
-		// materialized (RowCopy), tagged with their row so the reduce
-		// replays them at exactly the position the record-fed pass would.
-		type p1cols struct {
-			dur        [][]clock.Time
-			count      []int64
-			start, end []clock.Time
-			size       []int
-			mrow       []int32
-			mrecs      []interval.Record
-		}
-		err = interval.MapFilesBatches([]*interval.File{mf}, mopts,
-			func(_ int, _ interval.FrameEntry, b *interval.Batch) (*p1cols, error) {
-				pp := &p1cols{
-					dur:   newBins(),
-					count: make([]int64, len(events.StateTypes)),
-					start: make([]clock.Time, 0, b.N),
-					end:   make([]clock.Time, 0, b.N),
-					size:  make([]int, 0, b.N),
-				}
-				scratch := &Preview{TStart: tStart, TEnd: tEnd, Dur: pp.dur}
-				for i := 0; i < b.N; i++ {
-					s, e := b.Start[i], b.End(i)
-					pp.start = append(pp.start, s)
-					pp.end = append(pp.end, e)
-					pp.size = append(pp.size, b.EncodedRowSize(i))
-					typ := b.Type[i]
-					if si, ok := sidx[typ]; ok {
-						if b.Bebits[i] == profile.Begin || b.Bebits[i] == profile.Complete {
-							pp.count[si]++
-						}
-						allocate(scratch, si, s, e, bins)
+			for i := range pp.dur {
+				pp.dur[i] = make([]clock.Time, bins)
+			}
+			scratch := &Preview{TStart: tStart, TEnd: tEnd, Dur: pp.dur}
+			for ri := range pp.recs {
+				r := &pp.recs[ri]
+				if si, ok := sidx[r.Type]; ok {
+					if r.Bebits == profile.Begin || r.Bebits == profile.Complete {
+						pp.count[si]++
 					}
-					if (b.Bebits[i] == profile.Complete || b.Bebits[i] == profile.End) && matcherType(typ) {
-						pp.mrow = append(pp.mrow, int32(i))
-						pp.mrecs = append(pp.mrecs, b.RowCopy(i))
-					}
+					allocate(scratch, si, r.Start, r.End(), bins)
 				}
-				return pp, nil
-			},
-			func(_ int, _ interval.FrameEntry, pp *p1cols) error {
-				mergePreview(pp.dur, pp.count)
-				mi := 0
-				for i := range pp.start {
-					var mr *interval.Record
-					if mi < len(pp.mrow) && int(pp.mrow[mi]) == i {
-						mr = &pp.mrecs[mi]
-						mi++
-					}
-					step(pp.start[i], pp.end[i], pp.size[i], mr)
+			}
+			return pp, nil
+		},
+		func(_ int, _ interval.FrameEntry, pp *p1partial) error {
+			for si := range prev.Dur {
+				dst, src := prev.Dur[si], pp.dur[si]
+				for b := range dst {
+					dst[b] += src[b]
 				}
-				return nil
-			})
-	} else {
-		type p1partial struct {
-			dur   [][]clock.Time
-			count []int64
-			recs  []interval.Record
-		}
-		err = interval.MapFrames(mf, mopts,
-			func(_ interval.FrameEntry, recs []interval.Record) (*p1partial, error) {
-				pp := &p1partial{
-					dur:   newBins(),
-					count: make([]int64, len(events.StateTypes)),
-					recs:  recs,
+				prev.Count[si] += pp.count[si]
+			}
+			for ri := range pp.recs {
+				r := &pp.recs[ri]
+				// Arrow matching on final pieces of p2p and wait operations.
+				if r.Bebits == profile.Complete || r.Bebits == profile.End {
+					m.observe(r, &arrows, arrowFrame, len(frames))
 				}
-				scratch := &Preview{TStart: tStart, TEnd: tEnd, Dur: pp.dur}
-				for ri := range recs {
-					r := &recs[ri]
-					if si, ok := sidx[r.Type]; ok {
-						if r.Bebits == profile.Begin || r.Bebits == profile.Complete {
-							pp.count[si]++
-						}
-						allocate(scratch, si, r.Start, r.End(), bins)
-					}
+				if r.Start < cur.lo {
+					cur.lo = r.Start
 				}
-				return pp, nil
-			},
-			func(_ interval.FrameEntry, pp *p1partial) error {
-				mergePreview(pp.dur, pp.count)
-				for ri := range pp.recs {
-					r := &pp.recs[ri]
-					var mr *interval.Record
-					if r.Bebits == profile.Complete || r.Bebits == profile.End {
-						mr = r
-					}
-					step(r.Start, r.End(), r.EncodedSize(), mr)
+				if r.End() > cur.hi {
+					cur.hi = r.End()
 				}
-				return nil
-			})
-	}
+				closes := part.add(r.EncodedSize())
+				cur.lastIdx = idx
+				if closes {
+					frames = append(frames, cur)
+					cur = newInfo(idx + 1)
+				}
+				idx++
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -357,14 +280,14 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 		return nil
 	}
 	// Pass 2's map stage only decodes (concurrently); the serialization
-	// itself consumes records in frame order inside the reduce. Engine
-	// records are freshly decoded per frame, so retaining them across
-	// SLOG frame boundaries in frameRecs is safe.
-	err = interval.MapFrames(mf, mopts,
-		func(_ interval.FrameEntry, recs []interval.Record) ([]interval.Record, error) {
-			return recs, nil
+	// itself consumes records in frame order inside the reduce. The map
+	// copies each frame out of its pooled batch, so retaining the records
+	// across SLOG frame boundaries in frameRecs is safe.
+	err = interval.MapFilesBatches([]*interval.File{mf}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) ([]interval.Record, error) {
+			return b.Records(), nil
 		},
-		func(_ interval.FrameEntry, recs []interval.Record) error {
+		func(_ int, _ interval.FrameEntry, recs []interval.Record) error {
 			for ri := range recs {
 				r := recs[ri]
 				frameRecs = append(frameRecs, r)
@@ -414,18 +337,6 @@ func allocate(p *Preview, si int, start, end clock.Time, bins int) {
 			p.Dur[si][b] += ohi - olo
 		}
 	}
-}
-
-// matcherType reports whether the arrow matcher inspects records of
-// this type (the types m.observe switches on). The batch-fed pass 1
-// only materializes records of these types.
-func matcherType(t events.Type) bool {
-	switch t {
-	case events.EvMPISend, events.EvMPIIsend, events.EvMPISendrecv,
-		events.EvMPIRecv, events.EvMPIIrecv, events.EvMPIWait, events.EvMPIWaitall:
-		return true
-	}
-	return false
 }
 
 // recvHalf is a receive completion waiting for its send record.

@@ -2,6 +2,8 @@ package slog_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"tracefw/internal/clock"
@@ -344,13 +346,12 @@ func TestBuildParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestColumnarBuildByteIdentical builds the same merged trace with the
-// record-fed and the batch-fed pass 1 and requires bit-for-bit equal
-// SLOG files, at several worker counts and with a Waitall-heavy
-// workload so the vector envelopes flow through RowCopy.
-func TestColumnarBuildByteIdentical(t *testing.T) {
-	// Halo exchange completed through Waitall: the vector envelopes must
-	// survive the batch-fed path's RowCopy for the arrows to match.
+// TestBuildGoldenDigest pins the SLOG bytes of two workloads at
+// FrameBytes 2048 to SHA-256 digests captured before the batch-fed and
+// record-fed pass 1 were collapsed into one: the phased workload, and a
+// Waitall-completed halo exchange whose arrows come from the vector
+// envelopes. Every worker count must reproduce them exactly.
+func TestBuildGoldenDigest(t *testing.T) {
 	waitallWork := func(p *mpisim.Proc) {
 		peer := 1 - p.Rank()
 		for i := 0; i < 15; i++ {
@@ -361,20 +362,22 @@ func TestColumnarBuildByteIdentical(t *testing.T) {
 		}
 		p.Barrier()
 	}
-	for _, work := range []func(*mpisim.Proc){phased, waitallWork} {
-		mf, _ := testutil.Pipeline(t, shape, merge.Options{}, work)
-		build := func(opts slog.Options) []byte {
+	for _, tc := range []struct {
+		name string
+		work func(*mpisim.Proc)
+		want string
+	}{
+		{"phased", phased, "283a1ec675e1e73b07eaa72b034e7ecf0a276a6f0a39d93e3f3c63cfffdc469f"},
+		{"waitall", waitallWork, "81850cc57c450e6710cf16dfd91b765c43b8bf12fb6dd3f6544f4067a1b343b9"},
+	} {
+		mf, _ := testutil.Pipeline(t, shape, merge.Options{}, tc.work)
+		for _, par := range []int{0, 1, 4} {
 			sb := interval.NewSeekBuffer()
-			if _, err := slog.Build(mf, sb, opts); err != nil {
+			if _, err := slog.Build(mf, sb, slog.Options{FrameBytes: 2048, Parallel: par}); err != nil {
 				t.Fatal(err)
 			}
-			return sb.Bytes()
-		}
-		want := build(slog.Options{FrameBytes: 2048})
-		for _, par := range []int{0, 1, 4} {
-			got := build(slog.Options{FrameBytes: 2048, Parallel: par, Columnar: true})
-			if !bytes.Equal(got, want) {
-				t.Fatalf("columnar build (parallel=%d) differs from record-fed build", par)
+			if got := fmt.Sprintf("%x", sha256.Sum256(sb.Bytes())); got != tc.want {
+				t.Fatalf("%s (parallel=%d): slog sha256 %s, want %s", tc.name, par, got, tc.want)
 			}
 		}
 	}

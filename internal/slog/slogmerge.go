@@ -17,7 +17,7 @@ func Slogmerge(files []*interval.File, dst io.WriteSeeker, mopts merge.Options, 
 	if err != nil {
 		return nil, nil, err
 	}
-	mf, err := interval.ReadHeader(tmp)
+	mf, err := interval.NewFile(tmp)
 	if err != nil {
 		return mres, nil, err
 	}

@@ -183,21 +183,24 @@ func generateScalar(specs []*TableSpec, files []*interval.File, opts Options, tS
 	skipped := make([]int64, len(specs))
 
 	mopts := interval.MapOptions{Parallel: opts.Parallel, Window: opts.Window, Lo: opts.Lo, Hi: opts.Hi, Context: opts.Context}
-	err := interval.MapFilesFrames(files, mopts,
-		func(file int, _ interval.FrameEntry, recs []interval.Record) (*specPartial, error) {
+	err := interval.MapFilesBatches(files, mopts,
+		func(file int, _ interval.FrameEntry, b *interval.Batch) (*specPartial, error) {
 			ctx := &evalCtx{markers: files[file].Header.Markers, tStart: tStart, tEnd: tEnd}
 			sp := &specPartial{pg: make([]map[string]*group, len(specs)), skipped: make([]int64, len(specs))}
 			for i := range sp.pg {
 				sp.pg[i] = make(map[string]*group)
 			}
-			for ri := range recs {
-				rec := &recs[ri]
+			var rec interval.Record
+			for i := 0; i < b.N; i++ {
+				// The row view aliases the pooled batch; the evaluator
+				// only reads it, and nothing outlives this map call.
+				rec = b.Row(i)
 				if opts.Window && (rec.End() < opts.Lo || rec.Start > opts.Hi) {
 					// Filter at the record level so the result does not
 					// depend on how records happened to be framed.
 					continue
 				}
-				ctx.rec = rec
+				ctx.rec = &rec
 				for si, spec := range specs {
 					skip, err := accumulate(spec, ctx, sp.pg[si])
 					if err != nil {

@@ -113,7 +113,7 @@ func TestIngestHTTPConcurrent(t *testing.T) {
 	}
 	files := make([]*interval.File, len(outs))
 	for i, sb := range outs {
-		if files[i], err = interval.ReadHeader(sb); err != nil {
+		if files[i], err = interval.NewFile(sb); err != nil {
 			t.Fatal(err)
 		}
 	}
