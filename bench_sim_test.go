@@ -80,30 +80,45 @@ func BenchmarkSchedHotLoop(b *testing.B) {
 // BenchmarkSweepCell runs one full sweep cell end to end: simulate,
 // convert, merge, and reduce to the comparison-table metrics. This is
 // the unit the utesweep driver fans out over a policy × workload grid.
+// nodes=8 is a small cell; nodes=256 (4 CPUs, 4 tasks per node) has
+// more open states than half a merge frame holds, so it exercises the
+// frame-prologue floor that keeps merged records per raw event bounded.
 func BenchmarkSweepCell(b *testing.B) {
-	grid := sweep.Grid{
-		Policies:  []string{"fifo"},
-		Scenarios: []sweep.Scenario{{Name: "imbalance", Params: workload.Params{"iters": 4}}},
-	}
-	opts := sweep.Options{
-		Nodes: 8, CPUsPerNode: 2, TasksPerNode: 1,
-		Seed: 7, Parallel: 1,
-	}
-	b.ReportAllocs()
-	var events int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sweep.Run(grid, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Cells) != 1 || res.Cells[0].RawEvents == 0 {
-			b.Fatal("sweep cell produced no events")
-		}
-		events += res.Cells[0].RawEvents
-	}
-	b.StopTimer()
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/rawevent")
+	for _, bc := range []struct {
+		nodes, cpus, tasks int
+		iters              int64
+	}{
+		{nodes: 8, cpus: 2, tasks: 1, iters: 4},
+		{nodes: 256, cpus: 4, tasks: 4, iters: 2},
+	} {
+		b.Run(fmt.Sprintf("nodes=%d", bc.nodes), func(b *testing.B) {
+			grid := sweep.Grid{
+				Policies:  []string{"fifo"},
+				Scenarios: []sweep.Scenario{{Name: "imbalance", Params: workload.Params{"iters": bc.iters}}},
+			}
+			opts := sweep.Options{
+				Nodes: bc.nodes, CPUsPerNode: bc.cpus, TasksPerNode: bc.tasks,
+				Seed: 7, Parallel: 1,
+			}
+			b.ReportAllocs()
+			var events, records int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sweep.Run(grid, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Cells) != 1 || res.Cells[0].RawEvents == 0 {
+					b.Fatal("sweep cell produced no events")
+				}
+				events += res.Cells[0].RawEvents
+				records += res.Cells[0].Records
+			}
+			b.StopTimer()
+			if events > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/rawevent")
+				b.ReportMetric(float64(records)/float64(events), "records/rawevent")
+			}
+		})
 	}
 }

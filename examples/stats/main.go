@@ -15,13 +15,19 @@ import (
 	"tracefw/internal/workload"
 )
 
-func main() {
-	run, err := core.Execute(core.Config{
+// execute runs the FLASH-like workload whose predefined tables this
+// example prints; the checked-in fig6.tsv and fig6.svg come from it.
+func execute() (*core.Run, error) {
+	return core.Execute(core.Config{
 		Nodes:        4,
 		CPUsPerNode:  4,
 		TasksPerNode: 1,
 		Seed:         11,
 	}, workload.Flash{Iters: 25, RefineEach: 5}.Main())
+}
+
+func main() {
+	run, err := execute()
 	if err != nil {
 		log.Fatal(err)
 	}

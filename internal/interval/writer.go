@@ -123,7 +123,12 @@ type WriterOptions struct {
 	// a single frame is quick" (paper §4). The threshold is measured on
 	// the fixed-width accumulation encoding, so frame boundaries (and
 	// with them record-to-frame assignment) are identical across header
-	// versions; v4 frames are typically much smaller on disk.
+	// versions; v4 frames are typically much smaller on disk. A frame
+	// whose FramePrologue records take more than half of FrameBytes
+	// closes at twice its prologue bytes instead, so at least half of
+	// every closed frame is regular records: with more open states than
+	// half a frame holds, frames grow with the prologue rather than
+	// degenerate into a prologue plus one record each.
 	FrameBytes int
 	// FramesPerDir is the number of frame entries per directory
 	// (default 32).
@@ -135,7 +140,10 @@ type WriterOptions struct {
 	// receive its first record; the returned records are placed at the
 	// beginning of the frame. The merge utility uses this to plant the
 	// zero-duration continuation pseudo-intervals that represent the
-	// nested outer states at the start of each frame (paper §3.3).
+	// nested outer states at the start of each frame (paper §3.3). The
+	// records count towards the frame's size (see FrameBytes for the
+	// close threshold). The Writer encodes them before Add returns and
+	// keeps no reference, so the callback may reuse the slice.
 	FramePrologue func() []Record
 	// OnSeal, if set, is invoked after every directory flush — the point
 	// at which the frames of that directory have reached the underlying
@@ -191,6 +199,7 @@ type Writer struct {
 	anyRecord    bool
 	frame        []byte
 	frameMeta    frameEntry
+	prologueLen  int          // bytes FramePrologue placed at the start of frame
 	group        []frameEntry // closed frames of the pending directory
 	groupBytes   []byte
 	prevDirOff   int64  // offset of the previous directory (-1 none)
@@ -302,7 +311,7 @@ func (w *Writer) Add(r *Record) error {
 	if end > w.frameMeta.end {
 		w.frameMeta.end = end
 	}
-	if len(w.frame) >= w.opts.frameBytes() {
+	if len(w.frame) >= w.frameLimit() {
 		if err := w.closeFrame(); err != nil {
 			return err
 		}
@@ -311,6 +320,13 @@ func (w *Writer) Add(r *Record) error {
 		}
 	}
 	return nil
+}
+
+// frameLimit is the fixed-width size at which the open frame closes:
+// FrameBytes, or twice the frame's prologue bytes when that is larger
+// (see WriterOptions.FrameBytes).
+func (w *Writer) frameLimit() int {
+	return max(w.opts.frameBytes(), 2*w.prologueLen)
 }
 
 // prologue inserts the caller-supplied frame-opening records when the
@@ -331,6 +347,7 @@ func (w *Writer) prologue() {
 			w.frameMeta.end = e
 		}
 	}
+	w.prologueLen = len(w.frame)
 }
 
 // AddPayload appends a pre-encoded record payload with the given time
@@ -353,7 +370,7 @@ func (w *Writer) AddPayload(payload []byte, start, end clock.Time) error {
 	if end > w.frameMeta.end {
 		w.frameMeta.end = end
 	}
-	if len(w.frame) >= w.opts.frameBytes() {
+	if len(w.frame) >= w.frameLimit() {
 		if err := w.closeFrame(); err != nil {
 			return err
 		}
@@ -393,6 +410,7 @@ func (w *Writer) closeFrame() error {
 	w.group = append(w.group, w.frameMeta)
 	w.frame = w.frame[:0]
 	w.frameMeta = emptyFrameMeta()
+	w.prologueLen = 0
 	return nil
 }
 

@@ -191,73 +191,6 @@ func (s *stream) Advance() error {
 	}
 }
 
-// openKey identifies a thread across the whole machine.
-type openKey struct {
-	node, thread uint16
-}
-
-// tracker reconstructs, from the merged record stream, which states are
-// open on every thread, to generate the frame-start pseudo-intervals.
-type tracker struct {
-	open map[openKey][]interval.Record // innermost last
-}
-
-func newTracker() *tracker { return &tracker{open: make(map[openKey][]interval.Record)} }
-
-func (t *tracker) observe(r *interval.Record) {
-	if r.Type == events.EvGlobalClock {
-		return
-	}
-	k := openKey{r.Node, r.Thread}
-	switch r.Bebits {
-	case profile.Begin:
-		// Deep-copy the variable-length payloads: read-ahead sources
-		// recycle their batch slots, so r.Extra/r.Vec may be rewritten
-		// by a producer long before this open state is replayed as a
-		// pseudo-interval.
-		cp := *r
-		cp.Extra = append([]uint64(nil), r.Extra...)
-		cp.Vec = append([]uint64(nil), r.Vec...)
-		t.open[k] = append(t.open[k], cp)
-	case profile.End:
-		stack := t.open[k]
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].Type == r.Type {
-				t.open[k] = append(stack[:i], stack[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-// pseudos returns zero-duration continuation records for every open
-// state, stamped at, ordered (node, thread, outer→inner).
-func (t *tracker) pseudos(at clock.Time) []interval.Record {
-	keys := make([]openKey, 0, len(t.open))
-	for k, stack := range t.open {
-		if len(stack) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].thread < keys[j].thread
-	})
-	var out []interval.Record
-	for _, k := range keys {
-		for _, st := range t.open[k] {
-			pr := st
-			pr.Bebits = profile.Continuation
-			pr.Start = at
-			pr.Dura = 0
-			out = append(out, pr)
-		}
-	}
-	return out
-}
-
 // Merge merges the individual interval files into dst.
 func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, error) {
 	if len(files) == 0 {
@@ -307,7 +240,7 @@ func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, e
 		return nil, err
 	}
 
-	ms := &mergeState{res: res, trk: newTracker()}
+	ms := &mergeState{res: res, trk: NewTracker()}
 	w, err := interval.NewWriter(dst, hdr, ms.writerOptions(opts))
 	if err != nil {
 		return nil, err
@@ -384,7 +317,7 @@ func UnionHeader(hdrs []interval.Header) (interval.Header, error) {
 // identical pseudo-intervals and are byte-identical by construction.
 type mergeState struct {
 	res     *Result
-	trk     *tracker
+	trk     *Tracker
 	lastEnd clock.Time
 }
 
@@ -394,7 +327,7 @@ func (ms *mergeState) writerOptions(opts Options) interval.WriterOptions {
 	wopts := opts.Writer
 	if !opts.NoPseudo {
 		wopts.FramePrologue = func() []interval.Record {
-			ps := ms.trk.pseudos(ms.lastEnd)
+			ps := ms.trk.Pseudos(ms.lastEnd)
 			ms.res.Pseudo += int64(len(ps))
 			ms.res.Records += int64(len(ps))
 			return ps
@@ -438,7 +371,7 @@ func (ms *mergeState) run(w *interval.Writer, srcs []recordSource, linear bool) 
 		}
 		ms.res.Records++
 		ms.lastEnd = r.End()
-		ms.trk.observe(&r)
+		ms.trk.Observe(&r)
 		if err := st.Advance(); err != nil {
 			return fmt.Errorf("merge: input %d: %w", i, err)
 		}

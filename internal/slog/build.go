@@ -3,11 +3,11 @@ package slog
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
+	"tracefw/internal/merge"
 	"tracefw/internal/profile"
 )
 
@@ -55,21 +55,27 @@ type BuildResult struct {
 }
 
 // partitioner reproduces the frame boundaries deterministically from the
-// record stream: a frame closes when its payload reaches FrameBytes.
+// record stream: a frame closes when its record payload reaches
+// FrameBytes, or twice the bytes of its pseudo-intervals (the states
+// open at its start) if that is larger. The floor keeps the pseudos of
+// every frame at most half its records, so they stay linear in the
+// records however many states are open at once.
 type partitioner struct {
 	limit int
 	size  int
-	n     int
+	floor int
 }
 
-// add accounts one record of encoded size sz; it returns true when the
-// record CLOSES the current frame (the record still belongs to it).
-func (p *partitioner) add(sz int) bool {
+// add accounts one record of encoded size sz, given the pseudo-interval
+// bytes open before it; it returns true when the record CLOSES the
+// current frame (the record still belongs to it).
+func (p *partitioner) add(sz, pseudoBytes int) bool {
+	if p.size == 0 {
+		p.floor = 2 * pseudoBytes
+	}
 	p.size += sz
-	p.n++
-	if p.size >= p.limit {
+	if p.size >= max(p.limit, p.floor) {
 		p.size = 0
-		p.n = 0
 		return true
 	}
 	return false
@@ -123,7 +129,10 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	}
 
 	// --- Pass 1: frame boundaries, preview accumulation, arrow matching.
+	// Pass 1 tracks the open states too: a frame's size floor depends on
+	// the pseudo-intervals pass 2 will give it.
 	part := &partitioner{limit: opts.frameBytes()}
+	open := merge.NewTracker()
 	type frameInfo struct {
 		firstIdx, lastIdx int64
 		lo, hi            clock.Time
@@ -197,7 +206,8 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 				if r.End() > cur.hi {
 					cur.hi = r.End()
 				}
-				closes := part.add(r.EncodedSize())
+				closes := part.add(r.EncodedSize(), open.Bytes())
+				open.Observe(r)
 				cur.lastIdx = idx
 				if closes {
 					frames = append(frames, cur)
@@ -247,7 +257,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 		return nil, err
 	}
 	part = &partitioner{limit: opts.frameBytes()}
-	trk := newTracker()
+	trk := merge.NewTracker()
 	fi := 0
 	var frameRecs []interval.Record
 	var lastEnd clock.Time = tStart
@@ -257,7 +267,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 			return nil
 		}
 		// Pseudo intervals: enclosing open states at the frame start.
-		pseudo := trk.pseudosBefore(frameRecs, frameStartStamp)
+		pseudo := trk.Pseudos(frameStartStamp)
 		// Arrows: originals landing in this frame; crossing copies.
 		var own, crossing []Arrow
 		for _, ai := range ownArrows[fi] {
@@ -272,7 +282,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 		}
 		// Update tracker with the frame's records for the next frame.
 		for i := range frameRecs {
-			trk.observe(&frameRecs[i])
+			trk.Observe(&frameRecs[i])
 		}
 		frameRecs = frameRecs[:0]
 		fi++
@@ -292,7 +302,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 				r := recs[ri]
 				frameRecs = append(frameRecs, r)
 				lastEnd = r.End()
-				if part.add(r.EncodedSize()) {
+				if part.add(r.EncodedSize(), trk.Bytes()) {
 					if err := flush(); err != nil {
 						return err
 					}
@@ -436,60 +446,6 @@ func (m *matcher) recv(r *interval.Record, srcTask int32, seq uint64, arrows *[]
 func (m *matcher) emit(arrows *[]Arrow, arrowFrame map[int]int, curFrame int, a Arrow) {
 	*arrows = append(*arrows, a)
 	arrowFrame[len(*arrows)-1] = curFrame
-}
-
-// tracker mirrors merge's open-state reconstruction.
-type tracker struct {
-	open map[[2]uint16][]interval.Record
-}
-
-func newTracker() *tracker { return &tracker{open: make(map[[2]uint16][]interval.Record)} }
-
-func (t *tracker) observe(r *interval.Record) {
-	if r.Type == events.EvGlobalClock {
-		return
-	}
-	k := [2]uint16{r.Node, r.Thread}
-	switch r.Bebits {
-	case profile.Begin:
-		t.open[k] = append(t.open[k], *r)
-	case profile.End:
-		stack := t.open[k]
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].Type == r.Type {
-				t.open[k] = append(stack[:i], stack[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-// pseudosBefore returns zero-duration continuations for the states open
-// at the frame start.
-func (t *tracker) pseudosBefore(_ []interval.Record, at clock.Time) []interval.Record {
-	keys := make([][2]uint16, 0, len(t.open))
-	for k, stack := range t.open {
-		if len(stack) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	var out []interval.Record
-	for _, k := range keys {
-		for _, st := range t.open[k] {
-			pr := st
-			pr.Bebits = profile.Continuation
-			pr.Start = at
-			pr.Dura = 0
-			out = append(out, pr)
-		}
-	}
-	return out
 }
 
 func frameBounds(recs, pseudo []interval.Record) (clock.Time, clock.Time) {

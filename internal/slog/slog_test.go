@@ -199,6 +199,38 @@ func TestPseudoIntervalsInFrames(t *testing.T) {
 	}
 }
 
+// TestPseudoIntervalsAtMostHalfFrame: with more open states than half a
+// frame holds, a SLOG frame closes at twice its pseudo-interval bytes,
+// so every frame but the last carries at least twice as many record
+// bytes as pseudo-interval bytes.
+func TestPseudoIntervalsAtMostHalfFrame(t *testing.T) {
+	const frameBytes = 64
+	f, _ := buildSlog(t, slog.Options{FrameBytes: frameBytes}, phased)
+	floored := 0
+	for i := range f.Index {
+		fd, err := f.ReadFrame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pseudo, recs int
+		for j := range fd.Pseudo {
+			pseudo += fd.Pseudo[j].EncodedSize()
+		}
+		for j := range fd.Intervals {
+			recs += fd.Intervals[j].EncodedSize()
+		}
+		if 2*pseudo > frameBytes {
+			floored++
+		}
+		if i < len(f.Index)-1 && 2*pseudo > recs {
+			t.Errorf("frame %d: %d pseudo-interval bytes for %d record bytes", i, pseudo, recs)
+		}
+	}
+	if floored == 0 {
+		t.Fatal("no frame's pseudo-intervals exceed half of FrameBytes; the test does not exercise the floor")
+	}
+}
+
 func TestPreviewAccounting(t *testing.T) {
 	f, _ := buildSlog(t, slog.Options{FrameBytes: 4096, Bins: 40}, phased)
 	p := f.Preview

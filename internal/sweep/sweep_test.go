@@ -176,3 +176,27 @@ func TestSweepValidation(t *testing.T) {
 		t.Error("zero options accepted")
 	}
 }
+
+// TestSweepRecordsLinearInEvents pins the merge's output size on wide
+// clusters: with 4 tasks on each of hundreds of nodes, more states are
+// open at any instant than fit in half a frame, and frame-start
+// pseudo-intervals must not multiply the record count by the open-set
+// size. Merged records per raw event stay bounded as nodes grow.
+func TestSweepRecordsLinearInEvents(t *testing.T) {
+	grid := Grid{
+		Policies:  []string{"fifo"},
+		Scenarios: []Scenario{{Name: "imbalance", Params: workload.Params{"iters": 2}}},
+	}
+	for _, nodes := range []int{64, 128, 256} {
+		res, err := Run(grid, Options{Nodes: nodes, CPUsPerNode: 4, TasksPerNode: 4, Seed: 1, Parallel: 1})
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", nodes, err)
+		}
+		c := res.Cells[0]
+		perEvent := float64(c.Records) / float64(c.RawEvents)
+		t.Logf("nodes=%d: %d raw events, %d merged records, %.2f records/event", nodes, c.RawEvents, c.Records, perEvent)
+		if perEvent > 2.5 {
+			t.Errorf("nodes=%d: %.2f merged records per raw event, want <= 2.5", nodes, perEvent)
+		}
+	}
+}
