@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke bench fuzz-smoke perfbench
+.PHONY: ci fmt vet build test race bench-smoke bench fuzz-smoke perfbench
 
-ci: vet build test race bench-smoke fuzz-smoke perfbench
+ci: fmt vet build test race bench-smoke fuzz-smoke perfbench
+
+# Every Go file (the nested perfbench module included) is gofmt-clean;
+# the failure lists the files to reformat.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -298,21 +298,12 @@ func (f *File) DecodeFrameBatch(fe FrameEntry, b *Batch) error {
 	return f.decodeFrameBatchDirect(fe, b)
 }
 
-// decodeFrameBatchDirect reads fe into a pooled buffer and
-// columnar-decodes it into b. The read is positioned whenever the
-// underlying reader supports it — it never moves the file's seek
-// offset, so concurrent decodes of one File are safe — with a
-// seek-based fallback for plain readers.
+// decodeFrameBatchDirect reads fe into a pooled buffer (see readFrame
+// for when that is safe concurrently) and columnar-decodes it into b.
 func (f *File) decodeFrameBatchDirect(fe FrameEntry, b *Batch) error {
 	pb := getBuf()
 	defer putBuf(pb)
-	var buf []byte
-	var err error
-	if f.ra != nil {
-		buf, err = f.ReadFrameAt(fe, *pb)
-	} else {
-		buf, err = f.readFrameInto(fe, *pb)
-	}
+	buf, err := f.readFrame(fe, *pb)
 	if buf != nil {
 		*pb = buf[:0]
 	}

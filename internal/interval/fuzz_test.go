@@ -10,6 +10,7 @@
 package interval_test
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -189,8 +190,13 @@ func FuzzPyramid(f *testing.F) {
 
 var regenCorpus = flag.Bool("regen-corpus", false, "regenerate the checked-in fuzz seed corpus from tracegen output")
 
+// damagedSeeds names the corpus seeds that are deliberately corrupt,
+// each mapped to the pristine seed it was cut from.
+var damagedSeeds = map[string]string{"v3-backlink": "v3-small"}
+
 // corpusSeeds builds the canonical seed files: a real pipeline output
-// for every header version, an empty file, and a single-frame file.
+// for every header version, an empty file, a single-frame file, and the
+// damaged seeds.
 func corpusSeeds(t *testing.T) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -261,7 +267,7 @@ func corpusSeeds(t *testing.T) map[string][]byte {
 	if n > 64 {
 		n = 64
 	}
-	return map[string][]byte{
+	seeds := map[string][]byte{
 		fmt.Sprintf("v%d-pipeline", interval.CurrentHeaderVersion): current,
 		"v1-small":     reencode(1, recs[:n], small),
 		"v2-small":     reencode(2, recs[:n], small),
@@ -269,6 +275,21 @@ func corpusSeeds(t *testing.T) map[string][]byte {
 		"empty":        reencode(interval.CurrentHeaderVersion, nil, interval.WriterOptions{}),
 		"single-frame": reencode(interval.CurrentHeaderVersion, recs[:4], interval.WriterOptions{}),
 	}
+	// v3-backlink: the last directory's next link points back at the
+	// first (at itself when there is only one). Links sit outside the v3
+	// checksum, so only the strict reader's forward-link rule catches it.
+	bl := append([]byte(nil), seeds["v3-small"]...)
+	fl, ok := fuzzOpen(bl)
+	if !ok {
+		t.Fatal("v3-small does not open")
+	}
+	dirs, err := fl.Dirs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(bl[dirs[len(dirs)-1].Offset+16:], uint64(dirs[0].Offset))
+	seeds["v3-backlink"] = bl
+	return seeds
 }
 
 // writeCorpusEntry writes one seed in the `go test fuzz v1` encoding.
@@ -297,10 +318,15 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		for _, target := range []string{"FuzzOpen", "FuzzNextRecord", "FuzzSalvage"} {
 			writeCorpusEntry(t, target, name, q)
 		}
-		// Window seeds: the full run plus a half-open slice of it.
-		fl, ok := fuzzOpen(data)
+		// Window seeds: the full run plus a half-open slice of it, taken
+		// from the pristine source of a damaged seed.
+		src, damaged := damagedSeeds[name]
+		if !damaged {
+			src = name
+		}
+		fl, ok := fuzzOpen(seeds[src])
 		if !ok {
-			t.Fatalf("seed %s does not open", name)
+			t.Fatalf("seed %s does not open", src)
 		}
 		first, last, _, err := fl.Stats()
 		if err != nil {
@@ -311,6 +337,9 @@ func TestRegenFuzzCorpus(t *testing.T) {
 			fmt.Sprintf("int64(%d)", first), fmt.Sprintf("int64(%d)", last))
 		writeCorpusEntry(t, "FuzzScanWindow", name+"-half", q,
 			fmt.Sprintf("int64(%d)", mid), fmt.Sprintf("int64(%d)", last))
+		if damaged {
+			continue
+		}
 		// Pyramid seeds: the real sidecar of every trace seed, so the
 		// fuzzer mutates from encodings the builder actually produces.
 		p, err := interval.BuildPyramid(fl, interval.PyramidOptions{BaseCells: 64, TopK: 4})
@@ -324,7 +353,8 @@ func TestRegenFuzzCorpus(t *testing.T) {
 
 // TestFuzzCorpusSeedsValid guards the checked-in corpus against rot:
 // the undamaged seeds must still open as valid interval files and cover
-// every header version the reader accepts.
+// every header version the reader accepts, and the damaged ones must
+// still open but fail validation.
 func TestFuzzCorpusSeedsValid(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzOpen")
 	entries, err := os.ReadDir(dir)
@@ -341,6 +371,12 @@ func TestFuzzCorpusSeedsValid(t *testing.T) {
 		fl, ok := fuzzOpen(data)
 		if !ok {
 			t.Fatalf("seed %s no longer opens", e.Name())
+		}
+		if _, damaged := damagedSeeds[e.Name()]; damaged {
+			if _, err := fl.Validate(nil); err == nil {
+				t.Fatalf("damaged seed %s validates", e.Name())
+			}
+			continue
 		}
 		if _, err := fl.Validate(nil); err != nil {
 			t.Fatalf("seed %s no longer validates: %v", e.Name(), err)

@@ -147,9 +147,6 @@ func TestCloseIdempotent(t *testing.T) {
 	if _, err := f.ReadFrame(frames[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ReadFrame after Close: %v, want ErrClosed", err)
 	}
-	if _, err := f.ReadFrameAt(frames[0], nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadFrameAt after Close: %v, want ErrClosed", err)
-	}
 	if _, err := f.DecodeFrameDirect(frames[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("DecodeFrameDirect after Close: %v, want ErrClosed", err)
 	}

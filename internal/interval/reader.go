@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
 	"sync/atomic"
 
 	"tracefw/internal/clock"
@@ -270,11 +271,16 @@ func (f *File) ReadFrameDir(offset int64) (*FrameDir, error) {
 	return d, nil
 }
 
-// readDirHeader reads only a directory's fixed header: entry count,
-// links, and (header version 2) the aggregate bounds. Window queries
-// use it to decide whether a directory's entries are worth reading at
-// all. The entry count is returned for readDirEntries; for version-1
-// files the aggregate fields stay zero until the entries are read.
+// readDirHeader reads a directory's fixed header: entry count, links,
+// and aggregate bounds. Window queries use the aggregates to decide
+// whether a directory's entries are worth reading at all; the entry
+// count is returned for readDirEntries. Version 1 stores no aggregates,
+// so there the entry table is read here too and the aggregates derived
+// from it: Start/End/Records are valid after every header read.
+//
+// A non-zero next link must point past the directory itself. The writer
+// only appends, so every genuine link does; rejecting the rest means no
+// corrupt link can send a walk backward, and every walk terminates.
 func (f *File) readDirHeader(offset int64) (*FrameDir, int, error) {
 	if f.dirAt != nil {
 		// Preloaded chain: the directory (entries included) is resident;
@@ -294,7 +300,8 @@ func (f *File) readDirHeader(offset int64) (*FrameDir, int, error) {
 		// writer has not flushed yet.
 		return &FrameDir{Offset: offset}, 0, nil
 	}
-	hdrSize := dirHeaderSize(f.Header.HeaderVersion)
+	ver := f.Header.HeaderVersion
+	hdrSize := dirHeaderSize(ver)
 	if _, err := f.r.Seek(offset, io.SeekStart); err != nil {
 		return nil, 0, f.closedErr(err)
 	}
@@ -303,50 +310,44 @@ func (f *File) readDirHeader(offset int64) (*FrameDir, int, error) {
 	if _, err := io.ReadFull(f.r, h); err != nil {
 		return nil, 0, f.closedErr(fmt.Errorf("interval: reading frame directory at %d: %w", offset, err))
 	}
-	d := &FrameDir{
-		Offset: offset,
-		Prev:   int64(binary.LittleEndian.Uint64(h[8:])),
-		Next:   int64(binary.LittleEndian.Uint64(h[16:])),
+	d, n, ok := decodeDirHeader(offset, ver, h)
+	if !ok {
+		return nil, 0, fmt.Errorf("interval: directory at %d has bad magic %#x", offset, binary.LittleEndian.Uint32(h[4:]))
 	}
 	if f.live && d.Next == f.Size {
 		// The writer's speculative next link: the following directory
 		// has not sealed yet, so this is the end of the chain.
 		d.Next = 0
 	}
-	if f.Header.HeaderVersion >= 3 && binary.LittleEndian.Uint32(h[4:]) != dirMagic {
-		return nil, 0, fmt.Errorf("interval: directory at %d has bad magic %#x", offset, binary.LittleEndian.Uint32(h[4:]))
-	}
 	if d.Next < 0 || d.Next > f.Size || d.Prev < 0 || d.Prev > f.Size {
 		return nil, 0, fmt.Errorf("interval: directory at %d has out-of-file links (prev %d, next %d)", offset, d.Prev, d.Next)
 	}
-	n := int(binary.LittleEndian.Uint32(h[0:]))
-	if offset+int64(hdrSize)+int64(n)*int64(entrySize(f.Header.HeaderVersion)) > f.Size {
+	if d.Next != 0 && d.Next <= offset {
+		return nil, 0, fmt.Errorf("interval: directory at %d links back to %d", offset, d.Next)
+	}
+	if offset+int64(hdrSize)+int64(n)*int64(entrySize(ver)) > f.Size {
 		return nil, 0, fmt.Errorf("interval: directory at %d claims %d entries beyond file size", offset, n)
 	}
-	if f.Header.HeaderVersion >= 2 {
-		d.Start = clock.Time(binary.LittleEndian.Uint64(h[24:]))
-		d.End = clock.Time(binary.LittleEndian.Uint64(h[32:]))
-		d.Records = int64(binary.LittleEndian.Uint64(h[40:]))
-		if d.Records < 0 || d.Records*minRecordBytes(f.Header.HeaderVersion) > f.Size {
-			return nil, 0, fmt.Errorf("interval: directory at %d claims %d records in a %d-byte file", offset, d.Records, f.Size)
-		}
+	if d.Records < 0 || d.Records*minRecordBytes(ver) > f.Size {
+		return nil, 0, fmt.Errorf("interval: directory at %d claims %d records in a %d-byte file", offset, d.Records, f.Size)
 	}
-	if f.Header.HeaderVersion >= 3 {
-		d.sum = binary.LittleEndian.Uint32(h[48:])
-		if n == 0 && dirChecksum(0, d.Start, d.End, uint64(d.Records), nil) != d.sum {
-			return nil, 0, fmt.Errorf("interval: directory at %d fails metadata checksum", offset)
+	if n == 0 && !d.sumOK(ver, 0, nil) {
+		return nil, 0, fmt.Errorf("interval: directory at %d fails metadata checksum", offset)
+	}
+	if ver < 2 {
+		if err := f.readDirEntries(d, n); err != nil {
+			return nil, 0, err
 		}
+		d.Start, d.End, d.Records = entriesBounds(d.Entries)
 	}
 	return d, n, nil
 }
 
 // readDirEntries reads and validates the n frame entries following a
-// directory header. For version-1 files it also reconstructs the
-// directory's aggregate bounds from the entries (the lazy path for old
-// files).
+// directory header. It does nothing when the entries are already in
+// memory (preloaded, or read with a version-1 header).
 func (f *File) readDirEntries(d *FrameDir, n int) error {
-	if n == 0 || f.dirAt != nil {
-		// Preloaded directories carry their entries already.
+	if n == 0 || d.Entries != nil {
 		return nil
 	}
 	if f.closed.Load() {
@@ -354,32 +355,19 @@ func (f *File) readDirEntries(d *FrameDir, n int) error {
 	}
 	ver := f.Header.HeaderVersion
 	esz := entrySize(ver)
-	entOff := d.Offset + int64(dirHeaderSize(ver))
-	if _, err := f.r.Seek(entOff, io.SeekStart); err != nil {
-		return err
+	if _, err := f.r.Seek(d.Offset+int64(dirHeaderSize(ver)), io.SeekStart); err != nil {
+		return f.closedErr(err)
 	}
 	eb := make([]byte, n*esz)
 	if _, err := io.ReadFull(f.r, eb); err != nil {
 		return f.closedErr(fmt.Errorf("interval: reading %d frame entries: %w", n, err))
 	}
-	if ver >= 3 {
-		if dirChecksum(uint32(n), d.Start, d.End, uint64(d.Records), eb) != d.sum {
-			return fmt.Errorf("interval: directory at %d fails metadata checksum", d.Offset)
-		}
+	if !d.sumOK(ver, n, eb) {
+		return fmt.Errorf("interval: directory at %d fails metadata checksum", d.Offset)
 	}
-	d.Entries = make([]FrameEntry, 0, n)
-	for i := 0; i < n; i++ {
-		b := eb[i*esz:]
-		fe := FrameEntry{
-			Offset:  int64(binary.LittleEndian.Uint64(b[0:])),
-			Bytes:   binary.LittleEndian.Uint32(b[8:]),
-			Records: binary.LittleEndian.Uint32(b[12:]),
-			Start:   clock.Time(binary.LittleEndian.Uint64(b[16:])),
-			End:     clock.Time(binary.LittleEndian.Uint64(b[24:])),
-		}
-		if ver >= 3 {
-			fe.Sum = binary.LittleEndian.Uint32(b[32:])
-		}
+	entries := make([]FrameEntry, n)
+	for i := range entries {
+		fe := decodeEntry(eb[i*esz:], ver)
 		// Reject corrupt entries here so every consumer (scanners, the
 		// map-reduce engine, record preallocation from Records) sees
 		// only frames that can physically exist in this file.
@@ -389,49 +377,56 @@ func (f *File) readDirEntries(d *FrameDir, n int) error {
 		if int64(fe.Records)*minRecordBytes(ver) > int64(fe.Bytes) {
 			return fmt.Errorf("interval: directory at %d entry %d: %d records cannot fit in %d bytes", d.Offset, i, fe.Records, fe.Bytes)
 		}
-		d.Entries = append(d.Entries, fe)
+		entries[i] = fe
 	}
-	if f.Header.HeaderVersion < 2 {
-		d.Start, d.End, d.Records = d.Entries[0].Start, d.Entries[0].End, 0
-		for _, fe := range d.Entries {
-			if fe.Start < d.Start {
-				d.Start = fe.Start
-			}
-			if fe.End > d.End {
-				d.End = fe.End
-			}
-			d.Records += int64(fe.Records)
+	d.Entries = entries
+	return nil
+}
+
+// walkDirs follows the directory chain, starting after the directory
+// after (at FirstDir when after is nil). want, when non-nil, sees each
+// directory's header fields and decides whether its entry table is
+// read; visit receives every wanted directory, entries included, and
+// returns whether to go on. readDirHeader only accepts forward links,
+// so the walk always terminates.
+func (f *File) walkDirs(after *FrameDir, want, visit func(*FrameDir) bool) error {
+	off := f.FirstDir
+	if after != nil {
+		off = after.Next
+	}
+	for after == nil || off != 0 {
+		d, n, err := f.readDirHeader(off)
+		if err != nil {
+			return err
 		}
+		if want == nil || want(d) {
+			if err := f.readDirEntries(d, n); err != nil {
+				return err
+			}
+			if !visit(d) {
+				return nil
+			}
+		}
+		after, off = d, d.Next
 	}
 	return nil
 }
 
-// Dirs returns every frame directory in file order. A corrupted link
-// that revisits an offset is reported as an error rather than looping.
-// After Preload the resident chain is returned directly; callers must
-// treat it as read-only.
+// Dirs returns every frame directory in file order. After Preload the
+// resident chain is returned directly; callers must treat it as
+// read-only.
 func (f *File) Dirs() ([]*FrameDir, error) {
 	if f.dirs != nil {
 		return f.dirs, nil
 	}
 	var dirs []*FrameDir
-	seen := map[int64]bool{}
-	off := f.FirstDir
-	for {
-		if seen[off] {
-			return nil, fmt.Errorf("interval: frame directory cycle at offset %d", off)
-		}
-		seen[off] = true
-		d, err := f.ReadFrameDir(off)
-		if err != nil {
-			return nil, err
-		}
+	if err := f.walkDirs(nil, nil, func(d *FrameDir) bool {
 		dirs = append(dirs, d)
-		if d.Next == 0 {
-			return dirs, nil
-		}
-		off = d.Next
+		return true
+	}); err != nil {
+		return nil, err
 	}
+	return dirs, nil
 }
 
 // Frames returns every frame entry in file order.
@@ -448,54 +443,37 @@ func (f *File) Frames() ([]FrameEntry, error) {
 }
 
 // FramesInWindow returns the frame entries whose time range overlaps
-// [lo, hi], in file order, using only directory metadata. On version-2
-// files, directories whose aggregate bounds miss the window entirely
-// are skipped without even reading their entry tables.
+// [lo, hi], in file order, using only directory metadata. Directories
+// whose aggregate bounds miss the window entirely are skipped without
+// reading their entry tables.
 func (f *File) FramesInWindow(lo, hi clock.Time) ([]FrameEntry, error) {
 	var out []FrameEntry
-	v2 := f.Header.HeaderVersion >= 2
-	seen := map[int64]bool{}
-	off := f.FirstDir
-	for {
-		if seen[off] {
-			return nil, fmt.Errorf("interval: frame directory cycle at offset %d", off)
-		}
-		seen[off] = true
-		d, n, err := f.readDirHeader(off)
-		if err != nil {
-			return nil, err
-		}
-		if !(v2 && n > 0 && !d.Overlaps(lo, hi)) {
-			if err := f.readDirEntries(d, n); err != nil {
-				return nil, err
-			}
-			for _, fe := range d.Entries {
-				if fe.End >= lo && fe.Start <= hi {
-					out = append(out, fe)
-				}
+	err := f.walkDirs(nil, func(d *FrameDir) bool { return d.Overlaps(lo, hi) }, func(d *FrameDir) bool {
+		for _, fe := range d.Entries {
+			if fe.End >= lo && fe.Start <= hi {
+				out = append(out, fe)
 			}
 		}
-		if d.Next == 0 {
-			return out, nil
-		}
-		off = d.Next
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 // ReadFrame loads a frame's raw record bytes.
 func (f *File) ReadFrame(fe FrameEntry) ([]byte, error) {
-	return f.readFrameInto(fe, nil)
+	return f.readFrame(fe, nil)
 }
 
-// ReadFrameAt loads a frame's raw record bytes with a positioned read,
-// never touching the file's seek offset — safe for concurrent use from
-// multiple goroutines. It requires the underlying reader to implement
-// io.ReaderAt (os.File and SeekBuffer both do); callers that need a
-// fallback should check ConcurrentReads first.
-func (f *File) ReadFrameAt(fe FrameEntry, buf []byte) ([]byte, error) {
-	if f.ra == nil {
-		return nil, errors.New("interval: underlying reader does not support ReadAt")
-	}
+// readFrame loads a frame's raw record bytes into buf's backing array
+// when it is large enough, allocating otherwise, and verifies its
+// payload checksum. The read is positioned whenever the underlying
+// reader supports it (ConcurrentReads) — it never moves the file's
+// seek offset, so concurrent reads of one File are safe — with a
+// seek-based fallback for plain readers.
+func (f *File) readFrame(fe FrameEntry, buf []byte) ([]byte, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -507,58 +485,26 @@ func (f *File) ReadFrameAt(fe FrameEntry, buf []byte) ([]byte, error) {
 	} else {
 		buf = buf[:fe.Bytes]
 	}
-	if _, err := f.ra.ReadAt(buf, fe.Offset); err != nil {
+	var err error
+	if f.ra != nil {
+		_, err = f.ra.ReadAt(buf, fe.Offset)
+	} else if _, err = f.r.Seek(fe.Offset, io.SeekStart); err == nil {
+		_, err = io.ReadFull(f.r, buf)
+	}
+	if err != nil {
 		return nil, f.closedErr(fmt.Errorf("interval: reading frame at %d: %w", fe.Offset, err))
 	}
-	if err := f.checkFrameSum(fe, buf); err != nil {
-		return nil, err
-	}
-	f.decoded.Add(1)
-	return buf, nil
-}
-
-// checkFrameSum verifies a frame's stored payload checksum on version-3
-// files; older versions store none, and WithVerifyChecksums(false)
-// skips the pass (Salvage runs its own unconditional check).
-func (f *File) checkFrameSum(fe FrameEntry, buf []byte) error {
 	if f.verifySums && f.Header.HeaderVersion >= 3 && crc32.Checksum(buf, crcTable) != fe.Sum {
-		return fmt.Errorf("interval: frame at %d fails payload checksum", fe.Offset)
-	}
-	return nil
-}
-
-// ConcurrentReads reports whether the file supports ReadFrameAt, i.e.
-// whether the parallel map-reduce engine can decode frames from worker
-// goroutines.
-func (f *File) ConcurrentReads() bool { return f.ra != nil }
-
-// readFrameInto loads a frame's raw record bytes into buf's backing
-// array when it is large enough, allocating otherwise. The Scanner uses
-// it to reuse one pooled buffer across all frames of a scan.
-func (f *File) readFrameInto(fe FrameEntry, buf []byte) ([]byte, error) {
-	if f.closed.Load() {
-		return nil, ErrClosed
-	}
-	if fe.Offset < 0 || int64(fe.Bytes) > f.Size || fe.Offset+int64(fe.Bytes) > f.Size {
-		return nil, fmt.Errorf("interval: frame at %d (%d bytes) exceeds file size %d", fe.Offset, fe.Bytes, f.Size)
-	}
-	if _, err := f.r.Seek(fe.Offset, io.SeekStart); err != nil {
-		return nil, f.closedErr(err)
-	}
-	if cap(buf) < int(fe.Bytes) {
-		buf = make([]byte, fe.Bytes)
-	} else {
-		buf = buf[:fe.Bytes]
-	}
-	if _, err := io.ReadFull(f.r, buf); err != nil {
-		return nil, f.closedErr(fmt.Errorf("interval: reading frame at %d: %w", fe.Offset, err))
-	}
-	if err := f.checkFrameSum(fe, buf); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("interval: frame at %d fails payload checksum", fe.Offset)
 	}
 	f.decoded.Add(1)
 	return buf, nil
 }
+
+// ConcurrentReads reports whether frames are read with positioned
+// reads, i.e. whether the parallel map-reduce engine can decode frames
+// from worker goroutines.
+func (f *File) ConcurrentReads() bool { return f.ra != nil }
 
 // DecodeFrame returns fe's decoded records through the frame-decode
 // hook when one is installed (a cache hit costs no read and no decode),
@@ -587,116 +533,73 @@ func (f *File) DecodeFrameDirect(fe FrameEntry) ([]Record, error) {
 	return b.Records(), nil
 }
 
+// locate finds the first frame whose end time is at or after t: its
+// directory and index there, or a nil directory when every frame ends
+// before t. Frames are end-time ordered, so a directory whose aggregate
+// end precedes t is passed over without reading its entry table.
+func (f *File) locate(t clock.Time) (d *FrameDir, i int, err error) {
+	err = f.walkDirs(nil, func(h *FrameDir) bool { return h.Records > 0 && h.End >= t }, func(h *FrameDir) bool {
+		i = sort.Search(len(h.Entries), func(k int) bool { return h.Entries[k].End >= t })
+		if i < len(h.Entries) {
+			d = h
+		}
+		return d == nil
+	})
+	return d, i, err
+}
+
 // FrameContaining locates the first frame whose time range covers t,
 // using only directory metadata — the fast seek the format exists for.
 // ok is false when t is after the last frame.
 func (f *File) FrameContaining(t clock.Time) (FrameEntry, bool, error) {
-	v2 := f.Header.HeaderVersion >= 2
-	off := f.FirstDir
-	for {
-		d, n, err := f.readDirHeader(off)
-		if err != nil {
-			return FrameEntry{}, false, err
-		}
-		if v2 && n > 0 && d.End < t {
-			// Aggregate bounds say every frame here ends before t: follow
-			// the next link without reading the entry table.
-			if d.Next == 0 {
-				return FrameEntry{}, false, nil
-			}
-			off = d.Next
-			continue
-		}
-		if err := f.readDirEntries(d, n); err != nil {
-			return FrameEntry{}, false, err
-		}
-		if n := len(d.Entries); n > 0 && d.Entries[n-1].End >= t {
-			// Frames are end-time ordered: binary search the first frame
-			// with End >= t inside this directory.
-			lo, hi := 0, n-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if d.Entries[mid].End >= t {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			return d.Entries[lo], true, nil
-		}
-		if d.Next == 0 {
-			return FrameEntry{}, false, nil
-		}
-		off = d.Next
+	d, i, err := f.locate(t)
+	if d == nil || err != nil {
+		return FrameEntry{}, false, err
 	}
+	return d.Entries[i], true, nil
 }
 
 // Stats aggregates frame-directory information: total elapsed time and
-// total record count (paper §2.4's aggregate routines). On version-2
-// files only the directory headers are read — the per-directory
-// aggregates answer the question without touching any entry table.
+// total record count (paper §2.4's aggregate routines). Only the
+// directory headers are read — the per-directory aggregates answer the
+// question without touching any entry table (except on version-1
+// files, which store no aggregates).
 func (f *File) Stats() (first, last clock.Time, records int64, err error) {
-	if f.Header.HeaderVersion >= 2 {
-		seen := map[int64]bool{}
-		off := f.FirstDir
-		any := false
-		for {
-			if seen[off] {
-				return 0, 0, 0, fmt.Errorf("interval: frame directory cycle at offset %d", off)
+	any := false
+	// want sees every header and declines every entry table, so visit
+	// never runs.
+	err = f.walkDirs(nil, func(d *FrameDir) bool {
+		if d.Records > 0 {
+			if !any || d.Start < first {
+				first = d.Start
 			}
-			seen[off] = true
-			d, n, derr := f.readDirHeader(off)
-			if derr != nil {
-				return 0, 0, 0, derr
+			if d.End > last {
+				last = d.End
 			}
-			if n > 0 {
-				if !any || d.Start < first {
-					first = d.Start
-				}
-				if d.End > last {
-					last = d.End
-				}
-				records += d.Records
-				any = true
-			}
-			if d.Next == 0 {
-				return first, last, records, nil
-			}
-			off = d.Next
+			records += d.Records
+			any = true
 		}
-	}
-	fes, err := f.Frames()
+		return false
+	}, nil)
 	if err != nil {
 		return 0, 0, 0, err
-	}
-	if len(fes) == 0 {
-		return 0, 0, 0, nil
-	}
-	first = fes[0].Start
-	for _, fe := range fes {
-		if fe.Start < first {
-			first = fe.Start
-		}
-		if fe.End > last {
-			last = fe.End
-		}
-		records += int64(fe.Records)
 	}
 	return first, last, records, nil
 }
 
 // Scanner iterates records sequentially across all frames and
 // directories, hiding the structure (the paper's getInterval loop).
+// Directories are read lazily, so a scan delivers every record before a
+// damaged directory and then fails.
 type Scanner struct {
 	f       *File
 	dir     *FrameDir
 	frame   int
-	buf     []byte
 	err     error
 	started bool
 	// win restricts the scan to frames overlapping [winLo, winHi];
-	// version-2 directories whose aggregate bounds miss the window are
-	// skipped without reading their entry tables.
+	// directories whose aggregate bounds miss the window are skipped
+	// without reading their entry tables.
 	win          bool
 	winLo, winHi clock.Time
 	// ctx, when non-nil, aborts the scan between frames once it is
@@ -705,23 +608,23 @@ type Scanner struct {
 	// one frame's worth of records.
 	ctx context.Context
 	// recs/recIdx serve frames obtained from the file's frame-decode
-	// hook (cached, already-decoded records); buf stays empty then.
+	// hook (cached, already-decoded records); cur stays empty then.
 	recs   []Record
 	recIdx int
 	// frameBuf is the pooled backing buffer the current frame was read
 	// into; it is returned to the pool once the scan terminates.
 	frameBuf *[]byte
-	// cur decodes the current frame on v4 files (dictionary and base
-	// start are frame-local); buf mirrors cur.buf there so the
-	// "frame exhausted" check is shared across versions.
+	// cur decodes the current frame's records, for every header
+	// version; an empty cur.buf means the frame is exhausted.
 	cur frameCursor
 	// arena backs the Extra/Vec slices of records returned by NextRecord
 	// and All, replacing one allocation per record with one per ~4096
 	// field values. Chunks are never reused, so the records stay valid
 	// after the scan.
 	arena u64Arena
-	// scratch/pbuf serve Next on v4 files: the record is decoded into
-	// scratch and re-encoded fixed-width into pbuf.
+	// scratch/pbuf serve Next where the frame holds no fixed-width
+	// payload (v4 files, hook-decoded frames): the record is decoded
+	// into scratch and re-encoded fixed-width into pbuf.
 	scratch Record
 	pbuf    []byte
 }
@@ -731,11 +634,10 @@ type Scanner struct {
 func (f *File) Scan() *Scanner { return &Scanner{f: f} }
 
 // ScanWindow returns a scanner restricted to the frames whose time
-// range overlaps [lo, hi]. Frames (and, on version-2 files, whole
-// directories) outside the window are never decoded; records inside a
-// decoded frame are all produced, including any that spill past the
-// window edges, so callers filter records the same way they would after
-// a full scan.
+// range overlaps [lo, hi]. Frames (and whole directories) outside the
+// window are never decoded; records inside a decoded frame are all
+// produced, including any that spill past the window edges, so callers
+// filter records the same way they would after a full scan.
 func (f *File) ScanWindow(lo, hi clock.Time) *Scanner {
 	return &Scanner{f: f, win: true, winLo: lo, winHi: hi}
 }
@@ -763,59 +665,15 @@ func (s *Scanner) SeekTime(t clock.Time) error {
 		return s.err
 	}
 	s.err = nil
-	s.buf = nil
+	s.cur.buf = nil
+	s.recs, s.recIdx = nil, 0
 	s.started = true
-	s.dir = nil
-	v2 := s.f.Header.HeaderVersion >= 2
-	seen := map[int64]bool{}
-	off := s.f.FirstDir
-	for {
-		if seen[off] {
-			s.err = fmt.Errorf("interval: frame directory cycle at offset %d", off)
-			s.release()
-			return s.err
-		}
-		seen[off] = true
-		d, n, err := s.f.readDirHeader(off)
-		if err != nil {
-			s.err = err
-			s.release()
-			return err
-		}
-		if v2 && n > 0 && d.End < t {
-			// Entire directory ends before t: skip its entry table.
-			if d.Next == 0 {
-				return nil
-			}
-			off = d.Next
-			continue
-		}
-		if err := s.f.readDirEntries(d, n); err != nil {
-			s.err = err
-			s.release()
-			return err
-		}
-		if n > 0 && d.Entries[n-1].End >= t {
-			// Frames are end-time ordered: binary search the first frame
-			// with End >= t inside this directory.
-			lo, hi := 0, n-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if d.Entries[mid].End >= t {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			s.dir = d
-			s.frame = lo
-			return nil
-		}
-		if d.Next == 0 {
-			return nil
-		}
-		off = d.Next
+	d, i, err := s.f.locate(t)
+	s.dir, s.frame = d, i
+	if err != nil {
+		return s.fail(err)
 	}
+	return nil
 }
 
 // ensure positions the scanner on a frame with undecoded records,
@@ -824,17 +682,15 @@ func (s *Scanner) ensure() error {
 	if s.err != nil {
 		return s.err
 	}
-	for len(s.buf) == 0 && s.recIdx >= len(s.recs) {
+	for len(s.cur.buf) == 0 && s.recIdx >= len(s.recs) {
 		if err := s.advanceFrame(); err != nil {
-			s.err = err
-			s.release()
-			return err
+			return s.fail(err)
 		}
 	}
 	return nil
 }
 
-// fail records a mid-frame decode error; the scanner is sticky after it.
+// fail records a scan error; the scanner is sticky after it.
 func (s *Scanner) fail(err error) error {
 	s.err = err
 	s.release()
@@ -847,30 +703,14 @@ func (s *Scanner) fail(err error) error {
 // payload bytes see every header version identically. The returned
 // slice is valid until the following call.
 func (s *Scanner) Next() ([]byte, error) {
-	if err := s.ensure(); err != nil {
+	if err := s.NextRecordInto(&s.scratch); err != nil {
 		return nil, err
 	}
-	if s.recIdx < len(s.recs) {
-		// Hook-decoded frame: synthesize the fixed-width payload from
-		// the cached record, exactly as the v4 path does.
-		s.pbuf = s.recs[s.recIdx].AppendPayload(s.pbuf[:0])
-		s.recIdx++
-		return s.pbuf, nil
+	if s.cur.payload != nil {
+		return s.cur.payload, nil
 	}
-	if s.f.Header.HeaderVersion >= 4 {
-		if err := s.cur.next(&s.scratch, nil); err != nil {
-			return nil, s.fail(err)
-		}
-		s.buf = s.cur.buf
-		s.pbuf = s.scratch.AppendPayload(s.pbuf[:0])
-		return s.pbuf, nil
-	}
-	payload, n, err := NextFramed(s.buf)
-	if err != nil {
-		return nil, s.fail(err)
-	}
-	s.buf = s.buf[n:]
-	return payload, nil
+	s.pbuf = s.scratch.AppendPayload(s.pbuf[:0])
+	return s.pbuf, nil
 }
 
 // NextRecord decodes the next record. The record's Extra/Vec slices are
@@ -880,32 +720,8 @@ func (s *Scanner) Next() ([]byte, error) {
 // capacity-clamped so appending to one never overwrites another.
 func (s *Scanner) NextRecord() (Record, error) {
 	var r Record
-	if err := s.ensure(); err != nil {
-		return r, err
-	}
-	if s.recIdx < len(s.recs) {
-		// Hook-decoded frame: the record (and its Extra/Vec slices) is
-		// shared with the cache — callers must not mutate it.
-		r = s.recs[s.recIdx]
-		s.recIdx++
-		return r, nil
-	}
-	if s.f.Header.HeaderVersion >= 4 {
-		if err := s.cur.next(&r, &s.arena); err != nil {
-			return Record{}, s.fail(err)
-		}
-		s.buf = s.cur.buf
-		return r, nil
-	}
-	payload, n, err := NextFramed(s.buf)
-	if err != nil {
-		return r, s.fail(err)
-	}
-	s.buf = s.buf[n:]
-	if err := decodePayload(payload, &r, &s.arena); err != nil {
-		return Record{}, s.fail(err)
-	}
-	return r, nil
+	err := s.next(&r, &s.arena)
+	return r, err
 }
 
 // NextRecordInto decodes the next record into *r, reusing r's Extra and
@@ -915,29 +731,23 @@ func (s *Scanner) NextRecord() (Record, error) {
 // use it to avoid one allocation per record; on v4 files the varints
 // decode straight into *r with no intermediate payload.
 func (s *Scanner) NextRecordInto(r *Record) error {
+	return s.next(r, nil)
+}
+
+// next decodes the next record into *r with the frame cursor's
+// allocation policy a (see frameCursor.next). Hook-decoded frames hand
+// out the cached record itself: its Extra/Vec slices are shared with
+// the cache, so callers must not mutate them.
+func (s *Scanner) next(r *Record, a *u64Arena) error {
 	if err := s.ensure(); err != nil {
 		return err
 	}
 	if s.recIdx < len(s.recs) {
-		// Hook-decoded frame: *r's slices alias the shared cached
-		// record; consumers must copy before mutating.
 		*r = s.recs[s.recIdx]
 		s.recIdx++
 		return nil
 	}
-	if s.f.Header.HeaderVersion >= 4 {
-		if err := s.cur.next(r, nil); err != nil {
-			return s.fail(err)
-		}
-		s.buf = s.cur.buf
-		return nil
-	}
-	payload, n, err := NextFramed(s.buf)
-	if err != nil {
-		return s.fail(err)
-	}
-	s.buf = s.buf[n:]
-	if err := DecodePayloadInto(payload, r); err != nil {
+	if err := s.cur.next(r, a); err != nil {
 		return s.fail(err)
 	}
 	return nil
@@ -949,16 +759,9 @@ func (s *Scanner) NextRecordInto(r *Record) error {
 func (s *Scanner) All() ([]Record, error) {
 	var recs []Record
 	if !s.started && s.err == nil {
-		fes, err := s.f.Frames()
-		if s.win && err == nil {
-			kept := fes[:0:0]
-			for _, fe := range fes {
-				if fe.End >= s.winLo && fe.Start <= s.winHi {
-					kept = append(kept, fe)
-				}
-			}
-			fes = kept
-		}
+		// A metadata error here is left to the scan itself, which
+		// delivers every record before the damage and then fails.
+		fes, err := selectFrames(s.f, MapOptions{Window: s.win, Lo: s.winLo, Hi: s.winHi})
 		if err == nil {
 			var total int64
 			for _, fe := range fes {
@@ -979,116 +782,70 @@ func (s *Scanner) All() ([]Record, error) {
 	}
 }
 
+// advanceFrame loads the next selected frame (which may be empty) into
+// the cursor or, with a frame-decode hook, into recs; io.EOF past the
+// last one.
 func (s *Scanner) advanceFrame() error {
 	s.recs, s.recIdx = nil, 0
-	for {
-		if s.dir == nil {
-			if s.started {
-				return io.EOF
-			}
-			s.started = true
-			if err := s.loadDir(s.f.FirstDir); err != nil {
-				return err
-			}
-			if s.dir == nil {
-				return io.EOF
-			}
-		}
-		if s.frame < len(s.dir.Entries) {
-			fe := s.dir.Entries[s.frame]
-			s.frame++
-			if s.win && (fe.End < s.winLo || fe.Start > s.winHi) {
-				continue
-			}
-			if s.ctx != nil {
-				if err := s.ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if s.f.hook != nil {
-				recs, err := s.f.hook(s.f, fe)
-				if err != nil {
-					return err
-				}
-				if len(recs) == 0 {
-					continue
-				}
-				s.recs, s.recIdx = recs, 0
-				return nil
-			}
-			if s.frameBuf == nil {
-				s.frameBuf = getBuf()
-			}
-			buf, err := s.f.readFrameInto(fe, *s.frameBuf)
-			if err != nil {
-				return err
-			}
-			*s.frameBuf = buf
-			if len(buf) == 0 {
-				continue
-			}
-			if s.f.Header.HeaderVersion >= 4 {
-				// Parse the frame-local dictionary and base start; s.buf
-				// mirrors the cursor's remaining bytes from here on.
-				if err := s.cur.init(s.f.Header.HeaderVersion, buf); err != nil {
-					return err
-				}
-				if len(s.cur.buf) == 0 {
-					continue
-				}
-				s.buf = s.cur.buf
-				return nil
-			}
-			s.buf = buf
-			return nil
-		}
-		if s.dir.Next == 0 {
+	for s.dir == nil || s.frame == len(s.dir.Entries) {
+		if s.dir == nil && s.started {
 			return io.EOF
 		}
-		if err := s.loadDir(s.dir.Next); err != nil {
+		s.started = true
+		if err := s.loadDir(); err != nil {
 			return err
-		}
-		if s.dir == nil {
-			return io.EOF
 		}
 	}
-}
-
-// loadDir reads the directory at off into s.dir. On window scans of
-// version-2 files, directories whose aggregate bounds miss the window
-// are skipped using only their headers; reaching the end of the chain
-// this way leaves s.dir nil (EOF).
-func (s *Scanner) loadDir(off int64) error {
-	v2 := s.f.Header.HeaderVersion >= 2
-	for {
-		d, n, err := s.f.readDirHeader(off)
-		if err != nil {
-			return err
-		}
-		if s.win && v2 && n > 0 && !d.Overlaps(s.winLo, s.winHi) {
-			if d.Next == 0 {
-				s.dir = nil
-				return nil
-			}
-			off = d.Next
-			continue
-		}
-		if err := s.f.readDirEntries(d, n); err != nil {
-			return err
-		}
-		s.dir = d
-		s.frame = 0
+	fe := s.dir.Entries[s.frame]
+	s.frame++
+	if s.win && (fe.End < s.winLo || fe.Start > s.winHi) {
 		return nil
 	}
+	if s.ctx != nil {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	if s.f.hook != nil {
+		recs, err := s.f.hook(s.f, fe)
+		s.recs = recs
+		return err
+	}
+	if s.frameBuf == nil {
+		s.frameBuf = getBuf()
+	}
+	buf, err := s.f.readFrame(fe, *s.frameBuf)
+	if err != nil {
+		return err
+	}
+	*s.frameBuf = buf
+	return s.cur.init(s.f.Header.HeaderVersion, buf)
+}
+
+// loadDir moves the scanner to the next directory after s.dir (the
+// first when s.dir is nil) that the scan wants: on window scans,
+// directories whose aggregate bounds miss the window are skipped using
+// only their headers. Reaching the end of the chain leaves s.dir nil.
+func (s *Scanner) loadDir() error {
+	after := s.dir
+	s.dir, s.frame = nil, 0
+	var want func(*FrameDir) bool
+	if s.win {
+		want = func(d *FrameDir) bool { return d.Overlaps(s.winLo, s.winHi) }
+	}
+	return s.f.walkDirs(after, want, func(d *FrameDir) bool {
+		s.dir = d
+		return false
+	})
 }
 
 // release returns the pooled frame buffer once the scan has terminated
 // (EOF or error; s.err is sticky, so the buffer cannot be touched
 // again).
 func (s *Scanner) release() {
+	s.cur.buf, s.cur.payload = nil, nil
 	if s.frameBuf != nil {
 		putBuf(s.frameBuf)
 		s.frameBuf = nil
-		s.buf = nil
 	}
 }

@@ -170,8 +170,8 @@ func (f *File) Salvage() (res *SalvageResult) {
 		} else {
 			rep.DirsResynced++
 		}
-		allVerified := len(d.entries) == d.n
-		for _, fe := range d.entries {
+		allVerified := len(d.Entries) == d.n
+		for _, fe := range d.Entries {
 			// Dedup on recovery, not on sight: a misparsed entry that
 			// happens to carry a real frame's offset but fails
 			// verification must not block the genuine entry later.
@@ -191,13 +191,13 @@ func (f *File) Salvage() (res *SalvageResult) {
 			}
 		}
 		rep.FramesDropped += d.entriesDropped
-		cover(&looseCov, d.off, d.tableEnd)
+		cover(&looseCov, d.Offset, d.tableEnd)
 		if (f.Header.HeaderVersion >= 3 && d.hdrOK) ||
-			(d.n == 0 && d.off == f.FirstDir) ||
+			(d.n == 0 && d.Offset == f.FirstDir) ||
 			(d.n > 0 && allVerified) {
-			cover(&strictCov, d.off, d.tableEnd)
+			cover(&strictCov, d.Offset, d.tableEnd)
 		}
-		if d.next == 0 {
+		if d.Next == 0 {
 			// A terminal directory accounts for the rest of the file.
 			// Unaccounted bytes mean the chain was cut or overwritten —
 			// sweep them for surviving directories instead of trusting
@@ -211,7 +211,7 @@ func (f *File) Salvage() (res *SalvageResult) {
 			viaLink = false
 			continue
 		}
-		if d.next <= pos {
+		if d.Next <= pos {
 			// Backward or self link: corrupt. Sweep forward past this
 			// directory rather than looping.
 			rep.DirsDropped++
@@ -224,7 +224,7 @@ func (f *File) Salvage() (res *SalvageResult) {
 			viaLink = false
 			continue
 		}
-		pos = d.next
+		pos = d.Next
 		viaLink = true
 	}
 	res.finish(f, looseCov)
@@ -285,14 +285,12 @@ func mergeRanges(rs []ByteRange) []ByteRange {
 	return out
 }
 
-// rawDir is a tolerantly-read directory: header fields plus the entries
-// that individually passed the bounds checks.
+// rawDir is a tolerantly-read directory: header fields plus, in
+// Entries, the entries that individually passed the bounds checks.
 type rawDir struct {
-	off        int64
-	n          int
-	prev, next int64
-	hdrOK      bool // v3 metadata checksum verified (vacuously true on v1/v2)
-	entries    []FrameEntry
+	*FrameDir
+	n     int  // entry count as stored
+	hdrOK bool // v3 metadata checksum verified (vacuously true on v1/v2)
 	// entriesDropped counts entries rejected by the per-entry bounds
 	// checks before any frame bytes were read.
 	entriesDropped int
@@ -323,18 +321,11 @@ func (f *File) salvageDir(off int64) (*rawDir, bool) {
 	if !f.readRaw(off, h) {
 		return nil, false
 	}
-	if ver >= 3 && binary.LittleEndian.Uint32(h[4:]) != dirMagic {
+	fd, n, ok := decodeDirHeader(off, ver, h)
+	if !ok || n < 0 {
 		return nil, false
 	}
-	d := &rawDir{
-		off:  off,
-		n:    int(binary.LittleEndian.Uint32(h[0:])),
-		prev: int64(binary.LittleEndian.Uint64(h[8:])),
-		next: int64(binary.LittleEndian.Uint64(h[16:])),
-	}
-	if d.n < 0 {
-		return nil, false
-	}
+	d := &rawDir{FrameDir: fd, n: n}
 	nRead := d.n
 	partial := false
 	if maxN := (f.Size - off - hdrSize) / esz; int64(nRead) > maxN {
@@ -366,15 +357,7 @@ func (f *File) salvageDir(off int64) (*rawDir, bool) {
 		}
 	}
 	if ver >= 3 {
-		if !ebOK || partial {
-			d.hdrOK = false
-		} else {
-			start := clock.Time(binary.LittleEndian.Uint64(h[24:]))
-			end := clock.Time(binary.LittleEndian.Uint64(h[32:]))
-			records := binary.LittleEndian.Uint64(h[40:])
-			sum := binary.LittleEndian.Uint32(h[48:])
-			d.hdrOK = dirChecksum(uint32(d.n), start, end, records, eb) == sum
-		}
+		d.hdrOK = d.hdrOK && ebOK && d.sumOK(ver, d.n, eb)
 	}
 	// Frames always sit past their own directory's header; the exact
 	// table end is not trusted here because the entry count itself may
@@ -385,17 +368,7 @@ func (f *File) salvageDir(off int64) (*rawDir, bool) {
 			d.entriesDropped++
 			continue
 		}
-		b := eb[int64(i)*esz:]
-		fe := FrameEntry{
-			Offset:  int64(binary.LittleEndian.Uint64(b[0:])),
-			Bytes:   binary.LittleEndian.Uint32(b[8:]),
-			Records: binary.LittleEndian.Uint32(b[12:]),
-			Start:   clock.Time(binary.LittleEndian.Uint64(b[16:])),
-			End:     clock.Time(binary.LittleEndian.Uint64(b[24:])),
-		}
-		if ver >= 3 {
-			fe.Sum = binary.LittleEndian.Uint32(b[32:])
-		}
+		fe := decodeEntry(eb[int64(i)*esz:], ver)
 		// A frame sits inside the file after its directory header, holds
 		// at least one record, and cannot claim more records than fit in
 		// its bytes.
@@ -405,7 +378,7 @@ func (f *File) salvageDir(off int64) (*rawDir, bool) {
 			d.entriesDropped++
 			continue
 		}
-		d.entries = append(d.entries, fe)
+		d.Entries = append(d.Entries, fe)
 	}
 	return d, true
 }

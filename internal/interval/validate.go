@@ -43,26 +43,12 @@ func (f *File) Validate(p *profile.Profile) (*ValidationReport, error) {
 		if i == len(dirs)-1 && d.Next != 0 {
 			return nil, fmt.Errorf("interval: last directory has next %d", d.Next)
 		}
-		// Header-version-2 files store aggregate bounds in the directory
-		// header (readDirEntries reconstructs them for v1, so they are
-		// self-consistent by construction there); check them against the
-		// entries they summarize.
-		if f.Header.HeaderVersion >= 2 && len(d.Entries) > 0 {
-			lo, hi := d.Entries[0].Start, d.Entries[0].End
-			var n int64
-			for _, fe := range d.Entries {
-				if fe.Start < lo {
-					lo = fe.Start
-				}
-				if fe.End > hi {
-					hi = fe.End
-				}
-				n += int64(fe.Records)
-			}
-			if d.Start != lo || d.End != hi || d.Records != n {
-				return nil, fmt.Errorf("interval: directory %d aggregates [%d %d] %d records, entries say [%d %d] %d",
-					i, d.Start, d.End, d.Records, lo, hi, n)
-			}
+		// Check the header's aggregate bounds against the entries they
+		// summarize (on version 1 they are derived from the entries, so
+		// they agree by construction).
+		if lo, hi, n := entriesBounds(d.Entries); d.Start != lo || d.End != hi || d.Records != n {
+			return nil, fmt.Errorf("interval: directory %d aggregates [%d %d] %d records, entries say [%d %d] %d",
+				i, d.Start, d.End, d.Records, lo, hi, n)
 		}
 	}
 

@@ -46,7 +46,8 @@ type Header struct {
 // extras as varints, and the repeating (type, bebits, cpu, node,
 // thread) tuples through a per-frame dictionary (see frame_v4.go).
 // Files at every older version remain fully readable; v1 aggregates
-// are reconstructed from the frame entries when a directory is read.
+// are reconstructed from the frame entries when a directory header is
+// read.
 const CurrentHeaderVersion uint32 = 4
 
 const (
@@ -114,6 +115,65 @@ func dirChecksum(count uint32, start, end clock.Time, records uint64, entries []
 	binary.LittleEndian.PutUint64(cov[24:], records)
 	sum := crc32.Update(0, crcTable, cov[:])
 	return crc32.Update(sum, crcTable, entries)
+}
+
+// decodeDirHeader parses the directory header h read at off: entry
+// count, links, and the aggregates and checksum its version stores. It
+// checks only the v3 magic word (ok is false when it is wrong); the
+// strict reader and salvage each apply their own rules to the rest.
+func decodeDirHeader(off int64, ver uint32, h []byte) (d *FrameDir, n int, ok bool) {
+	d = &FrameDir{
+		Offset: off,
+		Prev:   int64(binary.LittleEndian.Uint64(h[8:])),
+		Next:   int64(binary.LittleEndian.Uint64(h[16:])),
+	}
+	if ver >= 2 {
+		d.Start = clock.Time(binary.LittleEndian.Uint64(h[24:]))
+		d.End = clock.Time(binary.LittleEndian.Uint64(h[32:]))
+		d.Records = int64(binary.LittleEndian.Uint64(h[40:]))
+	}
+	if ver >= 3 {
+		d.sum = binary.LittleEndian.Uint32(h[48:])
+	}
+	return d, int(binary.LittleEndian.Uint32(h[0:])), ver < 3 || binary.LittleEndian.Uint32(h[4:]) == dirMagic
+}
+
+// decodeEntry parses one directory entry of header version ver.
+func decodeEntry(b []byte, ver uint32) FrameEntry {
+	fe := FrameEntry{
+		Offset:  int64(binary.LittleEndian.Uint64(b[0:])),
+		Bytes:   binary.LittleEndian.Uint32(b[8:]),
+		Records: binary.LittleEndian.Uint32(b[12:]),
+		Start:   clock.Time(binary.LittleEndian.Uint64(b[16:])),
+		End:     clock.Time(binary.LittleEndian.Uint64(b[24:])),
+	}
+	if ver >= 3 {
+		fe.Sum = binary.LittleEndian.Uint32(b[32:])
+	}
+	return fe
+}
+
+// sumOK reports whether d's stored v3 metadata checksum matches its
+// header fields and its n-entry table eb. Versions before 3 store no
+// checksum.
+func (d *FrameDir) sumOK(ver uint32, n int, eb []byte) bool {
+	return ver < 3 || dirChecksum(uint32(n), d.Start, d.End, uint64(d.Records), eb) == d.sum
+}
+
+// entriesBounds aggregates frame entries the way a directory header
+// does: the earliest start, the latest end, and the total record count
+// (all zero for no entries).
+func entriesBounds(es []FrameEntry) (start, end clock.Time, records int64) {
+	for i, fe := range es {
+		if i == 0 || fe.Start < start {
+			start = fe.Start
+		}
+		if i == 0 || fe.End > end {
+			end = fe.End
+		}
+		records += int64(fe.Records)
+	}
+	return start, end, records
 }
 
 // WriterOptions tunes frame construction.

@@ -322,11 +322,11 @@ func TestLowerableCoverage(t *testing.T) {
 		{`table name=a y=("n", dura, count)`, true},
 		{`table name=a condition=(state == "Running") x=("b", bin(start, 4)) x=("n", node) y=("n", floor(dura), sum)`, true},
 		{`table name=a x=("x", markername) y=("n", dura, count)`, false},
-		{`table name=a condition=(state == 1) y=("n", dura, count)`, false},    // kind mismatch
-		{`table name=a y=("n", -state, count)`, false},                         // unary minus on string
-		{`table name=a x=("x", bin(state, 4)) y=("n", dura, count)`, false},         // bin on string
-		{`table name=a y=("n", floor(state), sum)`, false},                     // floor on string
-		{`table name=a y=("n", nosuchfn(dura), sum)`, false},                   // unknown function
+		{`table name=a condition=(state == 1) y=("n", dura, count)`, false}, // kind mismatch
+		{`table name=a y=("n", -state, count)`, false},                      // unary minus on string
+		{`table name=a x=("x", bin(state, 4)) y=("n", dura, count)`, false}, // bin on string
+		{`table name=a y=("n", floor(state), sum)`, false},                  // floor on string
+		{`table name=a y=("n", nosuchfn(dura), sum)`, false},                // unknown function
 		{`table name=a condition=(markername == "x") y=("n", dura, count)`, false},
 	} {
 		specs, err := stats.Parse(tc.program)
